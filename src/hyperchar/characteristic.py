@@ -9,7 +9,8 @@ is congruent to r mod p". All results are exact; no sampling, no floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 from .modular import Prime, UnitSubgroup, subgroup_of_order
 
@@ -72,6 +73,23 @@ def continuity_threshold_of(member: Sequence[bool], p: int) -> Optional[int]:
     return k
 
 
+def residue_steps(p: int, elements: Sequence[int]) -> Iterator[int]:
+    """Reach masks of the residue DP after k = 1, 2, ... steps, without end.
+
+    Bit r of the k-th mask is set iff some multiset of exactly k of the given
+    residues (each in [1, p-1]) sums to r mod p.
+    """
+    mask = (1 << p) - 1
+    reach = 1
+    while True:
+        nxt = 0
+        for g in elements:
+            # cyclic shift by g: residue r moves to (r + g) mod p
+            nxt |= (reach << g) | (reach >> (p - g))
+        reach = nxt & mask
+        yield reach
+
+
 def characteristic_bitset(p: Prime, n: int, bound: Optional[int] = None) -> CharacteristicSet:
     """Exact membership table of char(F_p/G) for G the order-n unit subgroup.
 
@@ -86,25 +104,8 @@ def characteristic_bitset(p: Prime, n: int, bound: Optional[int] = None) -> Char
         bound = 2 * p
     if bound < 2 * (p - 1):
         raise ValueError(f"bound {bound} < 2(p-1) = {2 * (p - 1)}: generator extraction unsound")
-    G = subgroup_of_order(p, n)
-
-    mask = (1 << p) - 1
-    start = 0
-    for g in G.elements:
-        start |= 1 << g
-    member = [False] * (bound + 1)
-    member[0] = True
-    reach = start
-    member[1] = bool(reach & 1)
-    for k in range(2, bound + 1):
-        nxt = 0
-        for g in G.elements:
-            # cyclic shift by g: residue r moves to (r + g) mod p
-            nxt |= (reach << g) | (reach >> (p - g))
-        reach =nxt & mask
-        member[k] = bool(reach & 1)
-
-    table = tuple(member)
+    steps = islice(residue_steps(p, subgroup_of_order(p, n).elements), bound)
+    table = (True, *(bool(reach & 1) for reach in steps))
     return CharacteristicSet(
         p=p,
         order=n,
@@ -159,6 +160,7 @@ def _min_summands_table(G: UnitSubgroup, cap: int) -> list[int]:
     return mc
 
 
+# the table of the most recent (p, G) only: sweeps run one (p, G) at a time
 _MC_CACHE: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
 
@@ -169,6 +171,7 @@ def _min_summands(G: UnitSubgroup, cap: int) -> list[int]:
     if cached is None or len(cached) <= cap:
         target = cap if cached is None else max(cap, 2 * (len(cached) - 1))
         cached = _min_summands_table(G, target)
+        _MC_CACHE.clear()
         _MC_CACHE[key] = cached
     return cached
 

@@ -16,10 +16,10 @@ import sys
 import time
 from typing import Optional
 
-from .characteristic import characteristic_bitset, minimal_generating_set
-from .closed_form import gen_set_closed_form
 from .harness import (
+    ROUTES,
     FixtureParseError,
+    applicable_routes,
     conjecture_scan,
     load_fixtures,
     shipped_fixture_path,
@@ -27,8 +27,7 @@ from .harness import (
     validate_fixture,
     worker_count,
 )
-from .modular import Prime, is_prime
-from .norm_criterion import candidate_sums, generating_set_via_norm
+from .modular import Prime
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -76,56 +75,32 @@ def cmd_genset(args: argparse.Namespace) -> int:
     if n < 1 or (p - 1) % n != 0:
         return _fail(EXIT_BAD_ARGS, f"--n must divide p-1 = {p - 1}, got {n}")
 
-    requested = ["closed", "dp", "norm"] if args.route == "all" else [args.route]
     if args.route == "all":
-        requested = [r for r in requested if _route_applies(r, n)]
+        requested = sorted(applicable_routes(n))  # printed in name order
+    elif ROUTES[args.route].applies(n):
+        requested = [args.route]
     else:
-        if not _route_applies(args.route, n):
-            return _fail(EXIT_INAPPLICABLE, _why_inapplicable(args.route, n))
+        return _fail(EXIT_INAPPLICABLE, ROUTES[args.route].inapplicable.format(n=n))
 
-    outputs = []
-    for route in requested:
-        witnesses = None
+    distinct = set()
+    for name in requested:
+        route = ROUTES[name]
         t0 = time.perf_counter()
-        if route == "dp":
-            gens = minimal_generating_set(characteristic_bitset(p, n)).generators
-        elif route == "closed":
-            gens = gen_set_closed_form(p, n).generators
-        else:
-            gens = generating_set_via_norm(p, Prime(n)).generators
-            witnesses = candidate_sums(p, Prime(n)).witnesses
+        gens = route.run(p, n).generators
+        witnesses = route.witnesses(p, n) if route.witnesses and args.format == "json" else None
         elapsed = (time.perf_counter() - t0) * 1000.0
-        outputs.append((route, gens, witnesses, elapsed))
-
-    lone = args.route != "all"
-    for route, gens, witnesses, elapsed in outputs:
         _emit_record(
-            route, int(p), n, gens, args.format,
+            name, int(p), n, gens, args.format,
             witnesses=witnesses,
             elapsed_ms=elapsed if (args.timing and args.format == "json") else None,
-            lone_route=lone,
+            lone_route=args.route != "all",
         )
         if args.timing:
-            print(f"# {route}: {elapsed:.3f} ms", file=sys.stderr)
-
-    distinct = {gens for _, gens, _, _ in outputs}
+            print(f"# {name}: {elapsed:.3f} ms", file=sys.stderr)
+        distinct.add(gens)
     if len(distinct) > 1:
         return _fail(EXIT_MISMATCH, f"routes disagree for p={int(p)}, n={n}: {sorted(distinct)}")
     return EXIT_OK
-
-
-def _route_applies(route: str, n: int) -> bool:
-    if route == "dp":
-        return True
-    if route == "closed":
-        return n in (1, 2, 3, 4)
-    return is_prime(n)
-
-
-def _why_inapplicable(route: str, n: int) -> str:
-    if route == "closed":
-        return f"closed-form route covers orders 1..4 only, got n={n}"
-    return f"norm route covers prime orders only, got n={n}"
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -212,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_genset = sub.add_parser("genset", help="compute one generating set")
     p_genset.add_argument("--p", type=int, required=True, help="prime modulus")
     p_genset.add_argument("--n", type=int, required=True, help="subgroup order, must divide p-1")
-    p_genset.add_argument("--route", choices=("dp", "closed", "norm", "all"), default="dp")
+    p_genset.add_argument("--route", choices=(*ROUTES, "all"), default="dp")
     p_genset.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p_genset.add_argument("--timing", action="store_true", help="report timing (stderr; JSON field)")
     p_genset.set_defaults(func=cmd_genset)

@@ -16,14 +16,34 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .characteristic import GeneratingSet, characteristic_bitset, minimal_generating_set
 from .closed_form import gen_set_closed_form
 from .modular import Prime, is_prime
-from .norm_criterion import generating_set_via_norm
+from .norm_criterion import candidate_sums, generating_set_via_norm
 
-_ROUTES = ("dp", "closed", "norm")
+
+class Route(NamedTuple):
+    """Which orders n a route covers, how it runs, the error text (formatted
+    with n) for an order it does not cover, and any JSON audit witnesses."""
+
+    applies: Callable[[int], bool]
+    run: Callable[[Prime, int], GeneratingSet]
+    inapplicable: str = ""
+    witnesses: Optional[Callable[[Prime, int], dict]] = None
+
+
+# The one table of routes. The lambdas look the route functions up at call
+# time, so rebinding a module name (as a tracer does) reaches every caller.
+ROUTES = {
+    "dp": Route(lambda n: True, lambda p, n: minimal_generating_set(characteristic_bitset(p, n))),
+    "closed": Route(lambda n: n in (1, 2, 3, 4), lambda p, n: gen_set_closed_form(p, n),
+                    "closed-form route covers orders 1..4 only, got n={n}"),
+    "norm": Route(is_prime, lambda p, n: generating_set_via_norm(p, Prime(n)),
+                  "norm route covers prime orders only, got n={n}",
+                  lambda p, n: candidate_sums(p, Prime(n)).witnesses),
+}
 
 
 class FixtureParseError(ValueError):
@@ -130,37 +150,20 @@ def shipped_fixture_path(name: str = "reference_sets.txt") -> Path:
 
 
 def applicable_routes(n: int) -> tuple[str, ...]:
-    routes = ["dp"]
-    if n in (1, 2, 3, 4):
-        routes.append("closed")
-    if is_prime(n):
-        routes.append("norm")
-    return tuple(routes)
-
-
-def _run_route(route: str, p: Prime, n: int) -> GeneratingSet:
-    if route == "dp":
-        return minimal_generating_set(characteristic_bitset(p, n))
-    if route == "closed":
-        return gen_set_closed_form(p, n)
-    if route == "norm":
-        return generating_set_via_norm(p, Prime(n))
-    raise ValueError(f"unknown route {route!r}")
+    return tuple(name for name, route in ROUTES.items() if route.applies(n))
 
 
 def cross_validate(p: Prime, n: int) -> RouteComparison:
-    """Run every applicable route for (p, n) and compare the outputs.
+    """Run every route in ROUTES that applies to n and compare the outputs.
 
-    The DP route always runs; the closed form joins for n in 1..4 and the
-    norm route for prime n. Disagreements are reported, never raised. A note
-    records any appearance of p itself among the generators, expected only
-    for n in {1, 2}.
+    Disagreements are reported, never raised. A note records any appearance
+    of p itself among the generators, expected only for n in {1, 2}.
     """
     results: dict[str, tuple[int, ...]] = {}
     timings: dict[str, float] = {}
     for route in applicable_routes(n):
         t0 = time.perf_counter()
-        results[route] = _run_route(route, p, n).generators
+        results[route] = ROUTES[route].run(p, n).generators
         timings[route] = (time.perf_counter() - t0) * 1000.0
     baseline = results["dp"]
     agree = all(gens == baseline for gens in results.values())
@@ -181,8 +184,7 @@ def _validate_row(item: tuple[int, int, tuple[int, ...]]):
 
 def _table_row(item: tuple[int, int]):
     p, n = item
-    gens = minimal_generating_set(characteristic_bitset(Prime(p), n))
-    return p, n, gens.generators
+    return p, n, ROUTES["dp"].run(Prime(p), n).generators
 
 
 def worker_count(requested: Optional[int] = None) -> int:
@@ -197,7 +199,10 @@ def worker_count(requested: Optional[int] = None) -> int:
 
 
 def _map_items(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
+    # the fork start method launches every worker up front, so never ask for
+    # more than there are CPUs or items
+    workers = min(workers, os.cpu_count() or 1, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
@@ -212,7 +217,7 @@ def validate_fixture(rows: list[FixtureRow], workers: Optional[int] = None) -> V
 
     failures: list[tuple[FixtureRow, GeneratingSet, str]] = []
     notes: list[str] = []
-    route_ms = {route: 0.0 for route in _ROUTES}
+    route_ms = {route: 0.0 for route in ROUTES}
     passed = 0
     for p, n, expected, comparison in outcomes:
         row = FixtureRow(p=Prime(p), order=n, generators=expected)

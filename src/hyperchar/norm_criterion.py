@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
-from .characteristic import GeneratingSet, monoid_minimal_generators
+from .characteristic import GeneratingSet, monoid_minimal_generators, residue_steps
 from .modular import Prime, is_prime, subgroup_of_order
 
 
@@ -90,17 +91,9 @@ def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
     if (p - 1) % q != 0:
         raise ValueError(f"q = {q} does not divide p - 1 = {p - 1}")
     powers = _root_powers(p, q)
-    mask = (1 << p) - 1
-
-    # masks[k] bit r set iff some multiset of exactly k allowed powers sums to r
-    masks = [1]
-    reach = 1
-    for _ in range(1, p):
-        nxt = 0
-        for g in powers:
-            nxt |= (reach << g) | (reach >> (p - g))
-        reach = nxt & mask
-        masks.append(reach)
+    # masks[k] bit r set iff some multiset of exactly k allowed powers sums to
+    # r; all p masks are kept for the witness backtracking below
+    masks = [1, *islice(residue_steps(p, powers), p - 1)]
 
     sums = [s for s in range(1, p) if masks[s] & 1]
     witnesses: dict[int, tuple[int, ...]] = {}

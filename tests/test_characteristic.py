@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperchar import characteristic
 from hyperchar.characteristic import (
     characteristic_bitset,
     continuity_threshold_of,
@@ -151,3 +152,8 @@ class TestKpRepresentation:
         G = subgroup_of_order(Prime(7), 3)
         with pytest.raises(ValueError):
             kp_representation_check(Prime(7), G, -1)
+
+    def test_holds_only_the_latest_table(self):
+        kp_representation_check(Prime(13), subgroup_of_order(Prime(13), 3), 20)
+        kp_representation_check(Prime(31), subgroup_of_order(Prime(31), 5), 40)
+        assert list(characteristic._MC_CACHE) == [(31, subgroup_of_order(Prime(31), 5).elements)]

@@ -79,6 +79,26 @@ class TestGenset:
             record["generators"],
         )
 
+    def test_norm_witnesses_built_only_for_json(self, capsys, monkeypatch):
+        from hyperchar import norm_criterion
+
+        original = norm_criterion.candidate_sums
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hyperchar") and getattr(module, "candidate_sums", None) is original:
+                monkeypatch.setattr(module, "candidate_sums", counting)
+        for fmt, expected in (("plain", 1), ("csv", 1), ("json", 2)):
+            calls.clear()
+            code, _, _ = run_cli(
+                capsys, "genset", "--p", "7", "--n", "3", "--route", "norm", "--format", fmt
+            )
+            assert (code, len(calls)) == (0, expected), fmt
+
     def test_timing_goes_to_stderr_not_stdout(self, capsys):
         code, out, err = run_cli(
             capsys, "genset", "--p", "7", "--n", "3", "--timing"

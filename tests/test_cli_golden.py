@@ -1,0 +1,90 @@
+"""Golden CLI output: exact bytes of `genset` for every route combination.
+
+These pin the `--route all` output order (closed, dp, norm), the
+inapplicable-route messages and exit code, and the argparse choices order
+(dp, closed, norm, all), so refactoring the route dispatch cannot shift a
+byte of what users see.
+"""
+
+import pytest
+
+from hyperchar.cli import main
+
+WITNESS_7_3 = '"witnesses": {"4": [1, 3], "5": [3, 2], "6": [5, 1]}'
+WITNESS_11_5 = (
+    '"witnesses": {"10": [8, 0, 1, 1], "3": [2, 0, 0, 1], "4": [2, 1, 1, 0], '
+    '"5": [3, 2, 0, 0], "6": [4, 0, 0, 2], "7": [6, 0, 1, 0], "8": [7, 1, 0, 0], '
+    '"9": [6, 0, 0, 3]}'
+)
+
+GOLDEN_ALL = {
+    (7, 3, "plain"): "closed {3, 4, 5}\ndp {3, 4, 5}\nnorm {3, 4, 5}\n",
+    (7, 3, "csv"): "7,3,closed,{3 4 5}\n7,3,dp,{3 4 5}\n7,3,norm,{3 4 5}\n",
+    (7, 3, "json"): (
+        '{"generators": [3, 4, 5], "n": 3, "p": 7, "route": "closed"}\n'
+        '{"generators": [3, 4, 5], "n": 3, "p": 7, "route": "dp"}\n'
+        '{"generators": [3, 4, 5], "n": 3, "p": 7, "route": "norm", ' + WITNESS_7_3 + "}\n"
+    ),
+    (13, 4, "plain"): "closed {2, 5}\ndp {2, 5}\n",
+    (13, 4, "csv"): "13,4,closed,{2 5}\n13,4,dp,{2 5}\n",
+    (13, 4, "json"): (
+        '{"generators": [2, 5], "n": 4, "p": 13, "route": "closed"}\n'
+        '{"generators": [2, 5], "n": 4, "p": 13, "route": "dp"}\n'
+    ),
+    (11, 5, "plain"): "dp {3, 4, 5}\nnorm {3, 4, 5}\n",
+    (11, 5, "csv"): "11,5,dp,{3 4 5}\n11,5,norm,{3 4 5}\n",
+    (11, 5, "json"): (
+        '{"generators": [3, 4, 5], "n": 5, "p": 11, "route": "dp"}\n'
+        '{"generators": [3, 4, 5], "n": 5, "p": 11, "route": "norm", ' + WITNESS_11_5 + "}\n"
+    ),
+    (31, 6, "plain"): "dp {2, 3}\n",
+    (31, 6, "csv"): "31,6,dp,{2 3}\n",
+    (31, 6, "json"): '{"generators": [2, 3], "n": 6, "p": 31, "route": "dp"}\n',
+}
+
+GENSET_HELP = """\
+usage: hyperchar genset [-h] --p P --n N [--route {dp,closed,norm,all}]
+                        [--format {plain,csv,json}] [--timing]
+
+options:
+  -h, --help            show this help message and exit
+  --p P                 prime modulus
+  --n N                 subgroup order, must divide p-1
+  --route {dp,closed,norm,all}
+  --format {plain,csv,json}
+  --timing              report timing (stderr; JSON field)
+"""
+
+
+@pytest.mark.parametrize("p,n,fmt", sorted(GOLDEN_ALL))
+def test_route_all_exact_stdout(capsys, p, n, fmt):
+    code = main(["genset", "--p", str(p), "--n", str(n), "--route", "all", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == GOLDEN_ALL[(p, n, fmt)]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--p", "31", "--n", "5", "--route", "closed"],
+         "error: closed-form route covers orders 1..4 only, got n=5\n"),
+        (["--p", "13", "--n", "4", "--route", "norm"],
+         "error: norm route covers prime orders only, got n=4\n"),
+    ],
+)
+def test_inapplicable_route_exact_stderr(capsys, argv, message):
+    code = main(["genset", *argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_genset_help_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["genset", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == GENSET_HELP

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperchar import harness
 from hyperchar.harness import (
     ConjectureWitness,
     FixtureParseError,
@@ -150,6 +151,48 @@ class TestValidateFixture:
         assert serial.total == parallel.total == 40
         assert serial.passed == parallel.passed
         assert serial.failures == parallel.failures
+
+
+class TestWorkerCap:
+    """The pool never gets more workers than CPUs or items. A fake pool
+    records the requested size, so no process is started."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        created = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        return created
+
+    @pytest.mark.parametrize(
+        "requested,cpus,items,expected",
+        [
+            (64, 4, 10, [4]),
+            (64, 4, 3, [3]),
+            (2, 4, 10, [2]),
+            (64, None, 10, []),
+            (64, 4, 1, []),
+            (1, 4, 10, []),
+        ],
+    )
+    def test_pool_size_is_capped(self, pools, monkeypatch, requested, cpus, items, expected):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        out = harness._map_items(abs, list(range(-items, 0)), requested)
+        assert out == list(range(items, 0, -1))
+        assert pools == expected
 
 
 class TestTableRows:
