@@ -184,6 +184,10 @@ def kp_representation_check(p: Prime, G: UnitSubgroup, s: int) -> bool:
     multiset of size s as b_1 copies of g_1, ... with sum kp gives exactly
     such a decomposition, and conversely. The trivial subgroup has no terms
     available, so membership degenerates to p | s.
+
+    By Cauchy-Davenport the s-fold sumset of G has at least min(p, s(n-1)+1)
+    residues, so every s >= ceil((p-1)/(n-1)) reaches 0 and is a member with
+    no table; the table then never needs more than about p^2 entries.
     """
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
@@ -191,6 +195,8 @@ def kp_representation_check(p: Prime, G: UnitSubgroup, s: int) -> bool:
         return True
     if G.is_trivial:
         return s % p == 0
+    if s * (G.order - 1) >= p - 1:
+        return True
     cap = s * (max(G.elements) - 1)  # mc[t] <= s is impossible past this
     mc = _min_summands(G, cap)
     for k in range(1, s + 1):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
+from typing import Iterator
 
 from .characteristic import GeneratingSet, monoid_minimal_generators, residue_steps
 from .modular import Prime, is_prime, subgroup_of_order
@@ -39,9 +40,18 @@ class NormCandidateSet:
             raise ValueError("every sum needs exactly one stored witness")
 
 
-def _root_powers(p: Prime, q: Prime) -> list[int]:
+def _norm_steps(p: Prime, q: int) -> tuple[list[int], Iterator[int]]:
+    """The allowed powers g^0..g^{q-2} and the residue-DP masks over them for
+    s = 1..p-1, where g is the canonical primitive q-th root mod p.
+
+    Raises ValueError unless q is a prime divisor of p - 1.
+    """
+    q = Prime(q)
+    if (p - 1) % q != 0:
+        raise ValueError(f"q = {q} does not divide p - 1 = {p - 1}")
     g = subgroup_of_order(p, int(q)).generator
-    return [pow(g, j, p) for j in range(q - 1)]
+    powers = [pow(g, j, p) for j in range(q - 1)]
+    return powers, islice(residue_steps(p, powers), p - 1)
 
 
 def fp_norm(coeffs, p: Prime, q: Prime) -> int:
@@ -87,13 +97,10 @@ def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
     steps. Conjugating (replacing g by g^i) permutes the same subgroup, so
     the answer does not depend on which primitive root generated g.
     """
-    q = Prime(q)
-    if (p - 1) % q != 0:
-        raise ValueError(f"q = {q} does not divide p - 1 = {p - 1}")
-    powers = _root_powers(p, q)
+    powers, steps = _norm_steps(p, q)
     # masks[k] bit r set iff some multiset of exactly k allowed powers sums to
     # r; all p masks are kept for the witness backtracking below
-    masks = [1, *islice(residue_steps(p, powers), p - 1)]
+    masks = [1, *steps]
 
     sums = [s for s in range(1, p) if masks[s] & 1]
     witnesses: dict[int, tuple[int, ...]] = {}
@@ -110,7 +117,7 @@ def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
             else:
                 raise AssertionError(f"backtrack failed at ({p}, {q}), s={s}")
         witnesses[s] = tuple(counts)
-    return NormCandidateSet(p=p, q=q, sums=tuple(sums), witnesses=witnesses)
+    return NormCandidateSet(p=p, q=Prime(q), sums=tuple(sums), witnesses=witnesses)
 
 
 def generating_set_via_norm(p: Prime, q: Prime) -> GeneratingSet:
@@ -120,9 +127,14 @@ def generating_set_via_norm(p: Prime, q: Prime) -> GeneratingSet:
     and extracts minimal generators. Every explicit generator is at most p,
     so the 2p window sees all of their pairwise sums and the extraction is
     sound without assuming anything about the table route.
+
+    Candidacy is read from bit 0 of each forward residue-DP mask; no mask is
+    kept and no witness is built. Audit witnesses come from candidate_sums,
+    which only JSON output calls.
     """
-    cand = candidate_sums(p, q)
-    coins = sorted({int(p), int(q), *cand.sums})
+    _, steps = _norm_steps(p, q)
+    sums = [s for s, reach in enumerate(steps, 1) if reach & 1]
+    coins = sorted({int(p), int(q), *sums})
     bound = 2 * p
     member = [False] * (bound + 1)
     member[0] = True

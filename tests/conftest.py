@@ -6,6 +6,9 @@ one-line acceptance checklist as those tests finish."""
 from __future__ import annotations
 
 import itertools
+import sys
+
+import pytest
 
 ACCEPTANCE_LABELS = {
     "test_criterion_01_small_orders_reproduction": "small-orders table reproduction",
@@ -31,6 +34,25 @@ def pytest_runtest_logreport(report):
     number = int(test_name.split("_")[2])
     verdict = "PASS" if report.passed else ("SKIP" if report.skipped else "FAIL")
     print(f"\nACCEPTANCE {number:2d} {label}: {verdict}", flush=True)
+
+
+@pytest.fixture
+def candidate_sums_calls(monkeypatch):
+    """Arguments of every norm_criterion.candidate_sums call, by every caller."""
+    from hyperchar import norm_criterion
+
+    original = norm_criterion.candidate_sums
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hyperchar") and getattr(module, "candidate_sums", None) is original:
+            monkeypatch.setattr(module, "candidate_sums", counting)
+    return calls
+
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 

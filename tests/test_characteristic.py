@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hyperchar.characteristic import (
     kp_representation_check,
     minimal_generating_set,
     monoid_minimal_generators,
+    residue_steps,
 )
 from hyperchar.modular import Prime, subgroup_of_order
 
@@ -134,6 +137,15 @@ class TestContinuityThreshold:
         assert continuity_threshold_of(member_long, p=11) == 5
 
 
+class TestSaturationBound:
+    @pytest.mark.parametrize("p,n", [(p, n) for p, n in subgroup_pairs(199) if n >= 2])
+    def test_every_residue_reachable_by_cauchy_davenport_step(self, p, n):
+        # |kG| >= min(p, k(n-1)+1), so the reach mask is full at k = ceil((p-1)/(n-1))
+        k = -(-(p - 1) // (n - 1))
+        steps = residue_steps(p, subgroup_of_order(Prime(p), n).elements)
+        assert next(islice(steps, k - 1, None)) == (1 << p) - 1, (p, n, k)
+
+
 class TestKpRepresentation:
     @pytest.mark.parametrize("p,n", subgroup_pairs(31))
     def test_matches_membership_table(self, p, n):
@@ -142,6 +154,21 @@ class TestKpRepresentation:
         G = subgroup_of_order(prime, n)
         for s in range(0, 2 * (p - 1) + 1):
             assert kp_representation_check(prime, G, s) == S.member[s], (p, n, s)
+
+    @pytest.mark.parametrize("p,n", subgroup_pairs(31))
+    def test_matches_setwalk_oracle(self, p, n):
+        prime = Prime(p)
+        G = subgroup_of_order(prime, n)
+        oracle = oracle_members_setwalk(p, n, 2 * (p - 1))
+        for s, expected in enumerate(oracle):
+            assert kp_representation_check(prime, G, s) == expected, (p, n, s)
+
+    def test_large_count_needs_no_table(self):
+        # without the Cauchy-Davenport shortcut this needs a table of about
+        # s * max(G) entries, built at |G| steps each (seconds at this size)
+        characteristic._MC_CACHE.clear()
+        assert kp_representation_check(Prime(421), subgroup_of_order(Prime(421), 210), 840)
+        assert list(characteristic._MC_CACHE) == []
 
     def test_trivial_subgroup(self):
         G = subgroup_of_order(Prime(7), 1)
@@ -154,6 +181,7 @@ class TestKpRepresentation:
             kp_representation_check(Prime(7), G, -1)
 
     def test_holds_only_the_latest_table(self):
-        kp_representation_check(Prime(13), subgroup_of_order(Prime(13), 3), 20)
-        kp_representation_check(Prime(31), subgroup_of_order(Prime(31), 5), 40)
+        # both counts sit below ceil((p-1)/(n-1)), so each builds a table
+        kp_representation_check(Prime(13), subgroup_of_order(Prime(13), 3), 5)
+        kp_representation_check(Prime(31), subgroup_of_order(Prime(31), 5), 7)
         assert list(characteristic._MC_CACHE) == [(31, subgroup_of_order(Prime(31), 5).elements)]

@@ -79,20 +79,9 @@ class TestGenset:
             record["generators"],
         )
 
-    def test_norm_witnesses_built_only_for_json(self, capsys, monkeypatch):
-        from hyperchar import norm_criterion
-
-        original = norm_criterion.candidate_sums
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("hyperchar") and getattr(module, "candidate_sums", None) is original:
-                monkeypatch.setattr(module, "candidate_sums", counting)
-        for fmt, expected in (("plain", 1), ("csv", 1), ("json", 2)):
+    def test_norm_witnesses_built_only_for_json(self, capsys, candidate_sums_calls):
+        calls = candidate_sums_calls
+        for fmt, expected in (("plain", 0), ("csv", 0), ("json", 1)):
             calls.clear()
             code, _, _ = run_cli(
                 capsys, "genset", "--p", "7", "--n", "3", "--route", "norm", "--format", fmt

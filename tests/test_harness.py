@@ -144,6 +144,13 @@ class TestValidateFixture:
         failing_rows = {(int(f[0].p), f[0].order) for f in report.failures}
         assert report.passed + len(failing_rows) == report.total
 
+    def test_norm_rows_build_no_witnesses(self, candidate_sums_calls):
+        rows = [r for r in load_fixtures(shipped_fixture_path()) if r.p < 40 and is_prime(r.order)]
+        report = validate_fixture(rows, workers=1)
+        assert report.total == report.passed == len(rows) > 5
+        assert report.route_ms["norm"] > 0
+        assert candidate_sums_calls == []
+
     def test_parallel_and_serial_agree(self):
         rows = load_fixtures(shipped_fixture_path())[:40]
         serial = validate_fixture(rows, workers=1)

@@ -154,6 +154,14 @@ class TestGeneratingSetViaNorm:
     def test_reference_sets(self, p, q, expected):
         assert generating_set_via_norm(Prime(p), Prime(q)).generators == expected
 
+    def test_rejects_composite_order(self):
+        with pytest.raises(ValueError):
+            generating_set_via_norm(Prime(13), 4)
+
+    def test_rejects_non_divisor(self):
+        with pytest.raises(ValueError):
+            generating_set_via_norm(Prime(13), Prime(5))
+
     @pytest.mark.parametrize("p,q", [(p, q) for p, q in PRIME_ORDER_PAIRS if p < 80])
     def test_agrees_with_dp_route(self, p, q):
         prime = Prime(p)
