@@ -9,30 +9,37 @@ is congruent to r mod p". All results are exact; no sampling, no floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .modular import Prime, UnitSubgroup, subgroup_of_order
 
 
 @dataclass(frozen=True)
 class CharacteristicSet:
-    """Membership table of the characteristic submonoid up to `bound` (inclusive)."""
+    """Characteristic submonoid up to `bound` (inclusive): bit s of `mask` says s is a member."""
 
     p: Prime
     order: int
     bound: int
-    member: tuple[bool, ...]
-    continuity_threshold: Optional[int]
+    mask: int
 
     def __post_init__(self) -> None:
-        if len(self.member) != self.bound + 1:
-            raise ValueError("membership table length must be bound + 1")
-        if not self.member[0]:
-            raise ValueError("0 belongs to every submonoid of the naturals")
+        if self.mask >> (self.bound + 1) or not self.mask & 1:
+            raise ValueError("mask needs bit 0 (0 is in every submonoid) and no bits past bound")
+
+    @cached_property
+    def member(self) -> tuple[bool, ...]:
+        """Read-only view of the mask: member[s] for s in [0, bound]."""
+        return tuple(bit == "1" for bit in format(self.mask, f"0{self.bound + 1}b")[::-1])
+
+    @property
+    def continuity_threshold(self) -> Optional[int]:
+        return continuity_threshold_of(self.mask, self.bound, self.p)
 
     def __contains__(self, s: int) -> bool:
-        return 0 <= s <= self.bound and self.member[s]
+        return 0 <= s <= self.bound and bool(self.mask >> s & 1)
 
 
 @dataclass(frozen=True)
@@ -47,30 +54,20 @@ class GeneratingSet:
         if any(g < 1 for g in self.generators):
             raise ValueError("generators must be positive")
 
-    def __iter__(self):
-        return iter(self.generators)
 
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.generators)
-
-
-def continuity_threshold_of(member: Sequence[bool], p: int) -> Optional[int]:
-    """Start of the certified all-member tail, or None.
+def continuity_threshold_of(mask: int, bound: int, p: int) -> Optional[int]:
+    """Start of the certified all-member tail of mask's bits [0, bound], or None.
 
     A trailing run of members certifies every larger integer only when the run
     has length >= p: together with p itself (always a member) a run of p
     consecutive members reaches everything beyond it. Shorter trailing runs
     prove nothing about values past the bound, so they return None.
     """
-    bound = len(member) - 1
-    if not member[bound]:
+    # the tail starts after the highest non-member in [1, bound], or at 1
+    start = max((~mask & ((1 << (bound + 1)) - 2)).bit_length(), 1)
+    if not mask >> bound & 1 or bound - start + 1 < p:
         return None
-    k = bound
-    while k > 1 and member[k - 1]:
-        k -= 1
-    if bound - k + 1 < p:
-        return None
-    return k
+    return start
 
 
 def residue_steps(p: int, elements: Sequence[int]) -> Iterator[int]:
@@ -105,35 +102,45 @@ def characteristic_bitset(p: Prime, n: int, bound: Optional[int] = None) -> Char
     if bound < 2 * (p - 1):
         raise ValueError(f"bound {bound} < 2(p-1) = {2 * (p - 1)}: generator extraction unsound")
     steps = islice(residue_steps(p, subgroup_of_order(p, n).elements), bound)
-    table = (True, *(bool(reach & 1) for reach in steps))
-    return CharacteristicSet(
-        p=p,
-        order=n,
-        bound=bound,
-        member=table,
-        continuity_threshold=continuity_threshold_of(table, p),
-    )
+    mask = 1
+    for s, reach in enumerate(steps, 1):
+        mask |= (reach & 1) << s
+    return CharacteristicSet(p=p, order=n, bound=bound, mask=mask)
 
 
-def monoid_minimal_generators(member: Sequence[bool]) -> tuple[int, ...]:
-    """Minimal generators of a numerical submonoid given its membership table.
+def _set_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative mask, ascending."""
+    return (i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+
+
+def monoid_minimal_generators(mask: int) -> tuple[int, ...]:
+    """Minimal generators of a numerical submonoid given its membership bitmask.
 
     An element is a generator iff it is a member and not a sum of two smaller
     positive members. Computed with one bitmask convolution.
     """
-    bound = len(member) - 1
-    bits = 0
-    for s in range(1, bound + 1):
-        if member[s]:
-            bits |= 1 << s
+    positive = mask & ~1
     decomposable = 0
-    probe = bits
-    for i in range(1, bound + 1):
-        if member[i]:
-            decomposable |= probe << i
-    decomposable &= (1 << (bound + 1)) - 1
-    gens = bits & ~decomposable
-    return tuple(i for i in range(1, bound + 1) if (gens >> i) & 1)
+    for i in _set_bits(positive):
+        decomposable |= positive << i
+    return tuple(_set_bits(positive & ~decomposable))
+
+
+def monoid_closure(coins: Iterable[int], bound: int) -> int:
+    """Bitmask of the members in [0, bound] of the monoid the coins generate.
+
+    Shifts by c, 2c, 4c, ... up to the bound add every multiple of a coin c. A
+    coin already in the monoid (0 included) is a sum of smaller coins: skipped.
+    """
+    window = (1 << (bound + 1)) - 1
+    mask = 1
+    for c in sorted(coins):
+        if not mask >> c & 1:
+            shift = c
+            while shift <= bound:
+                mask |= (mask << shift) & window
+                shift *= 2
+    return mask
 
 
 def minimal_generating_set(S: CharacteristicSet) -> GeneratingSet:
@@ -142,7 +149,7 @@ def minimal_generating_set(S: CharacteristicSet) -> GeneratingSet:
     Sound because S.bound >= 2(p-1) and no minimal generator reaches 2(p-1)
     (see characteristic_bitset); for the trivial subgroup the set is {p}.
     """
-    return GeneratingSet(generators=monoid_minimal_generators(S.member))
+    return GeneratingSet(generators=monoid_minimal_generators(S.mask))
 
 
 def _min_summands_table(G: UnitSubgroup, cap: int) -> list[int]:
@@ -199,12 +206,5 @@ def kp_representation_check(p: Prime, G: UnitSubgroup, s: int) -> bool:
         return True
     cap = s * (max(G.elements) - 1)  # mc[t] <= s is impossible past this
     mc = _min_summands(G, cap)
-    for k in range(1, s + 1):
-        t = k * p - s
-        if t < 0:
-            continue
-        if t > cap:
-            break
-        if mc[t] <= s:
-            return True
-    return False
+    # the deficits t = kp - s, k >= 1, are the t >= 0 congruent to -s; t <= cap forces k < s
+    return any(mc[t] <= s for t in range(-s % p, cap + 1, p))

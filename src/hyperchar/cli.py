@@ -27,7 +27,7 @@ from .harness import (
     validate_fixture,
     worker_count,
 )
-from .modular import Prime
+from .modular import MAX_INPUT, Prime
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -67,6 +67,8 @@ def _emit_record(route: str, p: int, n: int, gens: tuple[int, ...], fmt: str,
 
 
 def cmd_genset(args: argparse.Namespace) -> int:
+    if args.p > MAX_INPUT:
+        return _fail(EXIT_BAD_ARGS, f"--p must be a prime below 2^63, got {args.p}")
     try:
         p = Prime(args.p)
     except ValueError:

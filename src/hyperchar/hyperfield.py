@@ -27,14 +27,11 @@ class QuotientHyperfield:
         self.subgroup: UnitSubgroup = subgroup_of_order(p, n)
         rep = [0] * p
         orbits: dict[int, tuple[int, ...]] = {0: (0,)}
-        seen = [False] * p
-        seen[0] = True
         for r in range(1, p):
-            if seen[r]:
+            if rep[r]:  # already in the orbit of a smaller residue
                 continue
             orbit = sorted(r * g % p for g in self.subgroup.elements)
             for m in orbit:
-                seen[m] = True
                 rep[m] = orbit[0]
             orbits[orbit[0]] = tuple(orbit)
         self._rep = tuple(rep)

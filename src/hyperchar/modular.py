@@ -14,12 +14,12 @@ from functools import lru_cache
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_MAX_INPUT = 1 << 63
+MAX_INPUT = 1 << 63
 
 
 def is_prime(m: int) -> bool:
     """Deterministic primality test, exact for all 0 <= m <= 2^63."""
-    if m < 0 or m > _MAX_INPUT:
+    if m < 0 or m > MAX_INPUT:
         raise ValueError(f"input out of supported range [0, 2^63]: {m}")
     if m < 2:
         return False

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .characteristic import GeneratingSet, monoid_minimal_generators, residue_steps
+from .characteristic import (CharacteristicSet, GeneratingSet, minimal_generating_set,
+                             monoid_closure, residue_steps)
 from .modular import Prime, is_prime, subgroup_of_order
 
 
@@ -123,10 +124,10 @@ def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
 def generating_set_via_norm(p: Prime, q: Prime) -> GeneratingSet:
     """Minimal generating set from the norm route alone.
 
-    Forms the monoid generated by {p, q} and the candidate sums on [0, 2p]
-    and extracts minimal generators. Every explicit generator is at most p,
-    so the 2p window sees all of their pairwise sums and the extraction is
-    sound without assuming anything about the table route.
+    Closes {p, q} and the candidate sums into a bitmask on [0, 2p] and
+    extracts minimal generators as the dp route does. Every explicit generator
+    is at most p, so the 2p window sees all of their pairwise sums and the
+    extraction is sound without assuming anything about the table route.
 
     Candidacy is read from bit 0 of each forward residue-DP mask; no mask is
     kept and no witness is built. Audit witnesses come from candidate_sums,
@@ -134,13 +135,8 @@ def generating_set_via_norm(p: Prime, q: Prime) -> GeneratingSet:
     """
     _, steps = _norm_steps(p, q)
     sums = [s for s, reach in enumerate(steps, 1) if reach & 1]
-    coins = sorted({int(p), int(q), *sums})
-    bound = 2 * p
-    member = [False] * (bound + 1)
-    member[0] = True
-    for v in range(1, bound + 1):
-        member[v] = any(c <= v and member[v - c] for c in coins)
-    return GeneratingSet(generators=monoid_minimal_generators(member))
+    mask = monoid_closure((int(p), int(q), *sums), 2 * p)
+    return minimal_generating_set(CharacteristicSet(p=p, order=int(q), bound=2 * p, mask=mask))
 
 
 def tuple_bound(p: Prime, q: Prime) -> int:

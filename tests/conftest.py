@@ -129,3 +129,22 @@ def regenerate(generators, bound: int) -> list[bool]:
     for v in range(1, bound + 1):
         member[v] = any(g <= v and member[v - g] for g in generators)
     return member
+
+
+def as_mask(member: list[bool]) -> int:
+    """A membership table packed into a bitmask, bit s for member[s]."""
+    return sum(1 << s for s, flag in enumerate(member) if flag)
+
+
+def oracle_continuity_threshold(member: list[bool], p: int):
+    """Start of the trailing run of members (not before 1) if it is at least p
+    long, else None; by a scan down the table."""
+    bound = len(member) - 1
+    if not member[bound]:
+        return None
+    k = bound
+    while k > 1 and member[k - 1]:
+        k -= 1
+    if bound - k + 1 < p:
+        return None
+    return k

@@ -6,16 +6,20 @@ from hypothesis import strategies as st
 
 from hyperchar import characteristic
 from hyperchar.characteristic import (
+    CharacteristicSet,
     characteristic_bitset,
     continuity_threshold_of,
     kp_representation_check,
     minimal_generating_set,
+    monoid_closure,
     monoid_minimal_generators,
     residue_steps,
 )
 from hyperchar.modular import Prime, subgroup_of_order
 
 from conftest import (
+    as_mask,
+    oracle_continuity_threshold,
     oracle_member_enumerate,
     oracle_members_setwalk,
     oracle_minimal_generators,
@@ -58,6 +62,21 @@ class TestMembershipTable:
         S = characteristic_bitset(Prime(5), 2, bound=40)
         assert S.bound == 40 and len(S.member) == 41
 
+    def test_member_is_a_read_only_view_of_the_mask(self):
+        S = characteristic_bitset(Prime(7), 3)
+        assert as_mask(list(S.member)) == S.mask and len(S.member) == S.bound + 1
+        with pytest.raises(AttributeError):
+            S.member = (True,) * (S.bound + 1)
+
+    @pytest.mark.parametrize("bound, mask", [
+        (4, 0b100001),  # a member past the bound
+        (4, 0b10010),  # 0 missing
+        (4, -1),
+    ])
+    def test_rejects_malformed_mask(self, bound, mask):
+        with pytest.raises(ValueError):
+            CharacteristicSet(p=Prime(7), order=3, bound=bound, mask=mask)
+
 
 class TestMinimalGeneratingSet:
     @pytest.mark.parametrize("p,n", subgroup_pairs(31))
@@ -99,8 +118,28 @@ class TestMinimalGeneratingSet:
         assert max(minimal_generating_set(S).generators) < 2 * (p - 1)
 
     def test_extraction_helper_on_plain_table(self):
-        member = regenerate([4, 9], 30)
-        assert monoid_minimal_generators(member) == (4, 9)
+        mask = as_mask(regenerate([4, 9], 30))
+        assert monoid_minimal_generators(mask) == (4, 9)
+
+
+@st.composite
+def coin_sets(draw):
+    # some coins are sums of others, so the closure must skip them correctly
+    coins = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(coins), st.sampled_from(coins)), max_size=3))
+    return coins + [a + b for a, b in pairs]
+
+
+class TestMonoidClosure:
+    @given(coin_sets(), st.integers(0, 80))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_regenerate_oracle(self, coins, bound):
+        assert monoid_closure(coins, bound) == as_mask(regenerate(coins, bound))
+
+    def test_zero_coin_adds_nothing_and_negative_coin_raises(self):
+        assert monoid_closure([3, 0], 10) == monoid_closure([3], 10) == 0b1001001001
+        with pytest.raises(ValueError):
+            monoid_closure([3, -1], 10)
 
 
 class TestContinuityThreshold:
@@ -126,15 +165,24 @@ class TestContinuityThreshold:
 
     def test_field_agrees_with_helper(self):
         S = characteristic_bitset(Prime(13), 3)
-        assert S.continuity_threshold == continuity_threshold_of(S.member, 13)
+        assert S.continuity_threshold == continuity_threshold_of(S.mask, S.bound, 13)
 
     def test_short_tail_does_not_certify(self):
         # members of a run shorter than p prove nothing about the integers
         # beyond the table, so no threshold is reported
-        member = [True] + [False] * 6 + [True, True, True]
-        assert continuity_threshold_of(member, p=11) is None
-        member_long = [True] + [False] * 4 + [True] * 11
-        assert continuity_threshold_of(member_long, p=11) == 5
+        mask = 0b1110000001  # members 0, 7, 8, 9
+        assert continuity_threshold_of(mask, 9, p=11) is None
+        mask_long = 0b1111111111100001  # members 0 and 5..15
+        assert continuity_threshold_of(mask_long, 15, p=11) == 5
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_matches_list_scan_oracle(self, p):
+        # every mask of width 1..12, including the all-ones and zero-less ones
+        for width in range(1, 13):
+            for mask in range(1 << width):
+                member = [bool(mask >> s & 1) for s in range(width)]
+                assert continuity_threshold_of(mask, width - 1, p) == oracle_continuity_threshold(
+                    member, p), (mask, width, p)
 
 
 class TestSaturationBound:

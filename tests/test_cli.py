@@ -53,6 +53,15 @@ class TestGenset:
         code, _, err = run_cli(capsys, "genset", "--p", "9", "--n", "2")
         assert code == 2 and "prime" in err
 
+    @pytest.mark.parametrize("p, message", [
+        ("9", "--p must be prime, got 9"),
+        # 2^64 - 59 is prime, but past the 2^63 limit of the primality test
+        ("18446744073709551557", "--p must be a prime below 2^63, got 18446744073709551557"),
+    ])
+    def test_bad_p_message(self, capsys, p, message):
+        code, out, err = run_cli(capsys, "genset", "--p", p, "--n", "2")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_non_divisor_n_is_bad_args(self, capsys):
         code, _, err = run_cli(capsys, "genset", "--p", "7", "--n", "4")
         assert code == 2 and "divide" in err
