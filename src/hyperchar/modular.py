@@ -156,6 +156,26 @@ def subgroup_of_order(p: Prime, n: int) -> UnitSubgroup:
     return UnitSubgroup(p=p, order=n, generator=h, elements=tuple(sorted(elements)))
 
 
+def _cornacchia(p: int, d: int) -> tuple[int, int]:
+    """(x, y) with x^2 + d*y^2 = p and y > 0, for d in {1, 3} and -d a square
+    mod the prime p, by Euclid's descent (Cohen, Alg. 1.5.2). The root of -d
+    needs no factoring of p - 1: it is a primitive k-th root of unity z for
+    d = 1 (k = 4), and 2z + 1 for d = 3 (k = 3), as (2z+1)^2 = 4(z^2+z+1) - 3.
+    """
+    k = 4 if d == 1 else 3
+    c = 2
+    # z^k = 1, so z has exact order k (3 or 4) iff z^2 != 1.
+    while pow(z := pow(c, (p - 1) // k, p), 2, p) == 1:
+        c += 1
+    r_prev, x = p, z if d == 1 else (2 * z + 1) % p
+    while x * x > p:
+        r_prev, x = x, r_prev % x
+    y = math.isqrt((p - x * x) // d)
+    if y == 0 or x * x + d * y * y != p:
+        raise AssertionError(f"descent failed for p={p}, d={d}")
+    return x, y
+
+
 def cornacchia_two_squares(p: Prime) -> TwoSquares:
     """The unique (a, b) with a >= b > 0 and a^2 + b^2 = p.
 
@@ -165,17 +185,7 @@ def cornacchia_two_squares(p: Prime) -> TwoSquares:
         return TwoSquares(1, 1)
     if p % 4 != 1:
         raise ValueError(f"{p} = 3 (mod 4) has no two-square representation")
-    c = 2
-    while pow(c, (p - 1) // 2, p) != p - 1:
-        c += 1
-    x = pow(c, (p - 1) // 4, p)  # x^2 = -1 (mod p)
-    r_prev, r = int(p), x
-    while r * r > p:
-        r_prev, r = r, r_prev % r
-    a = r
-    b = math.isqrt(p - a * a)
-    if a * a + b * b != p:
-        raise AssertionError(f"descent failed for p={p}")
+    a, b = _cornacchia(int(p), 1)
     return TwoSquares(max(a, b), min(a, b))
 
 
@@ -183,24 +193,13 @@ def eisenstein_solutions(p: Prime) -> tuple[EisensteinPair, EisensteinPair]:
     """Both solutions (a, b), (a, a-b) of a^2 - ab + b^2 = p with a > b > 0.
 
     Ordered by ascending second coordinate. Requires p = 1 (mod 3) and p >= 7.
+    From x^2 + 3y^2 = p, the pair (x + y, 2y) solves the form in some order.
     """
     if p % 3 != 1:
         raise ValueError(f"{p} != 1 (mod 3): x^2 - xy + y^2 = p has no positive solution pair")
     if p < 7:
         raise ValueError(f"p must be at least 7, got {p}")
-    found = []
-    b = 1
-    while 3 * b * b <= 4 * p:
-        disc = 4 * p - 3 * b * b
-        t = math.isqrt(disc)
-        if t * t == disc and (b + t) % 2 == 0:
-            a = (b + t) // 2
-            if a > b:
-                found.append(EisensteinPair(a, b))
-        b += 1
-    if len(found) != 2:
-        raise AssertionError(f"expected exactly two solutions for p={p}, found {found}")
-    first, second = sorted(found, key=lambda s: s.b)
-    if first.companion != second:
-        raise AssertionError(f"solutions for p={p} are not companions: {first}, {second}")
-    return first, second
+    x, y = _cornacchia(int(p), 3)
+    a, b = max(x + y, 2 * y), min(x + y, 2 * y)
+    first = EisensteinPair(a, min(b, a - b))
+    return first, first.companion

@@ -6,6 +6,7 @@ one-line acceptance checklist as those tests finish."""
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 
 import pytest
@@ -148,3 +149,26 @@ def oracle_continuity_threshold(member: list[bool], p: int):
     if bound - k + 1 < p:
         return None
     return k
+
+
+def oracle_eisenstein_search(p: int):
+    """Both solutions of a^2 - ab + b^2 = p with a > b > 0, ordered by b, by a
+    bounded search over b with 3b^2 <= 4p (O(sqrt p); p = 1 (mod 3), p >= 7)."""
+    from hyperchar.modular import EisensteinPair
+
+    found = []
+    b = 1
+    while 3 * b * b <= 4 * p:
+        disc = 4 * p - 3 * b * b
+        t = math.isqrt(disc)
+        if t * t == disc and (b + t) % 2 == 0:
+            a = (b + t) // 2
+            if a > b:
+                found.append(EisensteinPair(a, b))
+        b += 1
+    if len(found) != 2:
+        raise AssertionError(f"expected exactly two solutions for p={p}, found {found}")
+    first, second = sorted(found, key=lambda s: s.b)
+    if first.companion != second:
+        raise AssertionError(f"solutions for p={p} are not companions: {first}, {second}")
+    return first, second

@@ -17,21 +17,28 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("spec", [
-    {"kind": "table", "p_max": 40},
-    {"kind": "genset",
-     "calls": [["genset", "--p", "31", "--n", "5", "--route", "norm", "--format", "json"]]},
-], ids=["table", "genset-norm-json"])
-def test_traced_pass_reports_layers(spec):
+@pytest.mark.parametrize("spec,layer", [
+    ({"kind": "table", "p_max": 40}, "characteristic.extract_shifts"),
+    ({"kind": "genset",
+      "calls": [["genset", "--p", "31", "--n", "5", "--route", "norm", "--format", "json"]]},
+     "characteristic.extract_shifts"),
+    ({"kind": "genset",
+      "calls": [["genset", "--p", "1000000000039", "--n", "3", "--route", "closed",
+                 "--format", "plain"]]},
+     "modular.quadform_ms"),
+], ids=["table", "genset-norm-json", "genset-closed"])
+def test_traced_pass_reports_layers(spec, layer):
     spec = dict(spec, src=str(REPO / "src"), traced=True)
     done = subprocess.run([sys.executable, str(REPO / "bench" / "child.py"), json.dumps(spec)],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["layers"] is not None
-    assert result["layers"]["characteristic.extract_shifts"] > 0
+    assert result["layers"][layer] > 0
     if spec["kind"] == "table":
         assert [7, 3, [3, 4, 5]] in result["output"]
+    elif "closed" in spec["calls"][0]:
+        assert result["output"] == [[0, "{3, 1549316, 1869973}\n"]]
     else:
         assert [code for code, _ in result["output"]] == [0]
         assert json.loads(result["output"][0][1])["generators"] == [5, 6, 7, 8, 9]

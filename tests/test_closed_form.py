@@ -1,12 +1,22 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperchar.characteristic import characteristic_bitset, minimal_generating_set
 from hyperchar.closed_form import ClosedFormUnavailable, gen_set_closed_form
-from hyperchar.modular import Prime
+from hyperchar.modular import Prime, cornacchia_two_squares, eisenstein_solutions, is_prime
 
 from conftest import oracle_is_prime
+
+BENCH_GENSET = Path(__file__).resolve().parent.parent / "bench" / "reference" / "genset.jsonl"
+
+# The largest prime below 2^63, the top of the `Prime` range, that is 1 (mod 12),
+# so both quadratic forms apply.
+TOP_PRIME_1_MOD_12 = 9223372036854775549
 
 
 def applicable_pairs(p_cap):
@@ -76,3 +86,40 @@ class TestErrors:
     def test_unsupported_order_is_still_a_value_error(self):
         with pytest.raises(ValueError):
             gen_set_closed_form(Prime(11), 5)
+
+
+def check_closed_route(p):
+    sq = cornacchia_two_squares(Prime(p))
+    assert sq.a * sq.a + sq.b * sq.b == p and sq.a > sq.b > 0
+    first, second = eisenstein_solutions(Prime(p))
+    for sol in (first, second):
+        assert sol.a * sol.a - sol.a * sol.b + sol.b * sol.b == p and sol.a > sol.b > 0
+    assert first.companion == second and first.b < second.b
+    three = gen_set_closed_form(Prime(p), 3).generators
+    four = gen_set_closed_form(Prime(p), 4).generators
+    assert three[0] == 3 and four[0] == 2 and len(four) == 2 and four[1] % 2 == 1
+    assert all(g <= math.isqrt(4 * p) for g in three + four), p
+
+
+class TestWholePrimeRange:
+    """Both quadratic forms, hence the closed route, cover every p below 2^63."""
+
+    @given(st.integers(min_value=2**62 - 2**40, max_value=2**62 + 2**40))
+    @settings(max_examples=25, deadline=None)
+    def test_primes_near_two_to_the_62(self, start):
+        p = start + (1 - start) % 12
+        while not is_prime(p):
+            p += 12
+        check_closed_route(p)
+
+    def test_top_prime(self):
+        assert is_prime(TOP_PRIME_1_MOD_12) and TOP_PRIME_1_MOD_12 % 12 == 1
+        assert not any(is_prime(m) for m in range(TOP_PRIME_1_MOD_12 + 12, 2**63, 12))
+        check_closed_route(TOP_PRIME_1_MOD_12)
+
+    def test_benchmark_reference_instances(self):
+        rows = [json.loads(line) for line in BENCH_GENSET.read_text().splitlines()]
+        closed = [r for r in rows if r["route"] == "closed"]
+        assert len(closed) == 14
+        for r in closed:
+            assert gen_set_closed_form(Prime(r["p"]), r["n"]).generators == tuple(r["generators"]), r

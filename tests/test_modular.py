@@ -15,7 +15,16 @@ from hyperchar.modular import (
     subgroup_of_order,
 )
 
-from conftest import SMALL_PRIMES, divisors, oracle_is_prime, oracle_subgroup, subgroup_pairs
+from conftest import (
+    SMALL_PRIMES,
+    divisors,
+    oracle_eisenstein_search,
+    oracle_is_prime,
+    oracle_subgroup,
+    subgroup_pairs,
+)
+
+ORACLE_PRIMES = [p for p in range(2, 20000) if oracle_is_prime(p)]
 
 
 class TestIsPrime:
@@ -114,6 +123,12 @@ class TestCornacchia:
         with pytest.raises(ValueError):
             cornacchia_two_squares(Prime(7))
 
+    def test_matches_isqrt_scan_below_20000(self):
+        for p in ORACLE_PRIMES:
+            if p % 4 == 1:
+                b = next(b for b in range(1, p) if math.isqrt(p - b * b) ** 2 == p - b * b)
+                assert cornacchia_two_squares(Prime(p)) == TwoSquares(math.isqrt(p - b * b), b), p
+
 
 class TestEisenstein:
     @pytest.mark.parametrize("p", [p for p in range(7, 600) if oracle_is_prime(p) and p % 3 == 1])
@@ -143,3 +158,8 @@ class TestEisenstein:
     def test_both_solutions_stay_under_two_sqrt_p(self, p):
         for sol in eisenstein_solutions(Prime(p)):
             assert sol.a + sol.b <= math.isqrt(4 * p)
+
+    def test_matches_bounded_search_oracle_below_20000(self):
+        for p in ORACLE_PRIMES:
+            if p % 3 == 1 and p >= 7:
+                assert eisenstein_solutions(Prime(p)) == oracle_eisenstein_search(p), p
