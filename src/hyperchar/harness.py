@@ -3,9 +3,9 @@
 The shipped fixtures are the single transcription point for reference data;
 nothing else in the package hardcodes table rows. Row validation compares
 every applicable route (membership DP, closed form, norm criterion) against
-the fixture and against each other. Work items are independent; results are
-always merged back into sorted order, so output is deterministic no matter
-how many workers ran.
+the fixture and against each other. Work items are independent and are
+built in (p, n) order; results come back in input order, serially or from
+the pool, so output is deterministic no matter how many workers ran.
 """
 
 from __future__ import annotations
@@ -112,7 +112,6 @@ def parse_fixture_line(line: str, lineno: int = 0) -> Optional[FixtureRow]:
     if len(parts) != 3:
         raise FixtureParseError(f"{where}: expected 'p,n,{{...}}', got {text!r}")
     p_text, n_text, set_text = (part.strip() for part in parts)
-    set_text = set_text.strip()
     if not (set_text.startswith("{") and set_text.endswith("}")):
         raise FixtureParseError(f"{where}: generator set must be brace-delimited, got {set_text!r}")
     try:
@@ -120,8 +119,6 @@ def parse_fixture_line(line: str, lineno: int = 0) -> Optional[FixtureRow]:
         n = int(n_text)
         gens = tuple(int(tok) for tok in set_text[1:-1].split())
         return FixtureRow(p=p, order=n, generators=gens)
-    except FixtureParseError:
-        raise
     except ValueError as exc:
         raise FixtureParseError(f"{where}: {exc}") from exc
 
@@ -129,11 +126,15 @@ def parse_fixture_line(line: str, lineno: int = 0) -> Optional[FixtureRow]:
 def load_fixtures(source: Union[str, Path, Iterable[str]]) -> list[FixtureRow]:
     """Parse a fixture file (or iterable of lines) into rows.
 
-    Errors carry the 1-based line number of the first malformed row.
+    Errors carry the 1-based line number of the first malformed row, or the
+    file name if the file is not UTF-8 text.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        try:
+            with open(source, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise FixtureParseError(f"{source}: not UTF-8 text ({exc})") from exc
     else:
         lines = list(source)
     rows = []
@@ -213,7 +214,6 @@ def validate_fixture(rows: list[FixtureRow], workers: Optional[int] = None) -> V
     routes agree with each other and with the fixture's generators."""
     items = sorted((int(row.p), row.order, row.generators) for row in rows)
     outcomes = _map_items(_validate_row, items, worker_count(workers))
-    outcomes.sort(key=lambda out: (out[0], out[1]))
 
     failures: list[tuple[FixtureRow, GeneratingSet, str]] = []
     notes: list[str] = []
@@ -250,7 +250,6 @@ def table_rows(p_max: int, workers: Optional[int] = None) -> list[FixtureRow]:
         if is_prime(p):
             items.extend((p, n) for n in range(1, p) if (p - 1) % n == 0)
     results = _map_items(_table_row, items, worker_count(workers))
-    results.sort(key=lambda out: (out[0], out[1]))
     return [FixtureRow(p=Prime(p), order=n, generators=gens) for p, n, gens in results]
 
 

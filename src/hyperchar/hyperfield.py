@@ -9,7 +9,9 @@ plain exhaustive check rather than a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import product
+from typing import Callable, Iterable
 
 from .modular import Prime, UnitSubgroup, subgroup_of_order
 
@@ -115,127 +117,63 @@ class AxiomReport:
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.identity_ok
-            and self.unique_inverses_ok
-            and self.reversibility_ok
-            and self.associativity_ok
-            and self.commutativity_ok
-            and self.distributivity_ok
-            and self.absorption_ok
-            and self.multiplicative_inverses_ok
-        )
+        return all(getattr(self, f.name) for f in fields(self) if f.name.endswith("_ok"))
+
+
+def _first_failure(tuples: Iterable[tuple], holds: Callable[..., bool]) -> list[tuple]:
+    """The first tuple that `holds` rejects, as a one-item list; [] if none."""
+    for t in tuples:
+        if not holds(*t):
+            return [t]
+    return []
 
 
 def check_axioms(H: QuotientHyperfield) -> AxiomReport:
     """Check every hyperfield axiom on every tuple of classes.
 
-    Exhaustive over pairs and triples, so only sensible at desk scale; the
-    first witness of each failed axiom is recorded.
+    Exhaustive over pairs and triples, so only sensible at desk scale. Each
+    failed axiom records its first witness, except unique_inverses, which
+    records every class without exactly one inverse.
     """
     cls = H.classes
-    zero, one = H.zero, H.one
-    bad: list[tuple[str, tuple]] = []
-    add = {(x, y): H.hyperadd(x, y) for x in cls for y in cls}
+    zero, one, mul = H.zero, H.one, H.hypermul
+    add = {(x, y): H.hyperadd(x, y) for x, y in product(cls, repeat=2)}
+    inverses = {x: tuple(y for y in cls if zero in add[x, y]) for x in cls}
+    neg = {x: ys[0] for x, ys in inverses.items() if len(ys) == 1}
+    singles = [(x,) for x in cls]
+    nonzero = [x for x in cls if x != zero]
 
-    identity_ok = True
-    for x in cls:
-        if add[(x, zero)] != {x} or add[(zero, x)] != {x}:
-            identity_ok = False
-            bad.append(("identity", (x,)))
-            break
-
-    unique_inverses_ok = True
-    neg = {}
-    for x in cls:
-        ys = [y for y in cls if zero in add[(x, y)]]
-        if len(ys) != 1:
-            unique_inverses_ok = False
-            bad.append(("unique_inverses", (x, tuple(ys))))
-        else:
-            neg[x] = ys[0]
-
-    commutativity_ok = True
-    for x in cls:
-        for y in cls:
-            if add[(x, y)] != add[(y, x)] or H.hypermul(x, y) != H.hypermul(y, x):
-                commutativity_ok = False
-                bad.append(("commutativity", (x, y)))
-                break
-        if not commutativity_ok:
-            break
-
-    reversibility_ok = unique_inverses_ok
-    if unique_inverses_ok:
-        for x in cls:
-            for y in cls:
-                for z in add[(x, y)]:
-                    if x not in add[(z, neg[y])]:
-                        reversibility_ok = False
-                        bad.append(("reversibility", (x, y, z)))
-                        break
-                if not reversibility_ok:
-                    break
-            if not reversibility_ok:
-                break
-
-    associativity_ok = True
-    for x in cls:
-        for y in cls:
-            for z in cls:
-                left = frozenset().union(*(add[(w, z)] for w in add[(x, y)]))
-                right = frozenset().union(*(add[(x, v)] for v in add[(y, z)]))
-                if left != right:
-                    associativity_ok = False
-                    bad.append(("associativity", (x, y, z)))
-                    break
-            if not associativity_ok:
-                break
-        if not associativity_ok:
-            break
-
-    distributivity_ok = True
-    for a in cls:
-        for x in cls:
-            for y in cls:
-                scaled = frozenset(H.hypermul(a, w) for w in add[(x, y)])
-                direct = add[(H.hypermul(a, x), H.hypermul(a, y))]
-                if scaled != direct:
-                    distributivity_ok = False
-                    bad.append(("distributivity", (a, x, y)))
-                    break
-            if not distributivity_ok:
-                break
-        if not distributivity_ok:
-            break
-
-    absorption_ok = True
-    for x in cls:
-        if H.hypermul(x, zero) != zero or H.hypermul(zero, x) != zero:
-            absorption_ok = False
-            bad.append(("absorption", (x,)))
-            break
-
-    # nonzero classes must form an abelian group with identity one != zero
-    multiplicative_inverses_ok = one != zero
-    if not multiplicative_inverses_ok:
-        bad.append(("multiplicative_inverses", (zero, one)))
-    else:
-        nonzero = [x for x in cls if x != zero]
-        for x in nonzero:
-            if H.hypermul(x, one) != x or not any(H.hypermul(x, y) == one for y in nonzero):
-                multiplicative_inverses_ok = False
-                bad.append(("multiplicative_inverses", (x,)))
-                break
-
+    # axiom name -> witnesses, in the order they are recorded; None means the
+    # axiom could not be checked, which fails it without a witness
+    found = {
+        "identity": _first_failure(singles, lambda x: add[x, zero] == {x} == add[zero, x]),
+        "unique_inverses": [(x, ys) for x, ys in inverses.items() if len(ys) != 1],
+        "commutativity": _first_failure(
+            product(cls, repeat=2),
+            lambda x, y: add[x, y] == add[y, x] and mul(x, y) == mul(y, x),
+        ),
+        # z in x + y must give x in z + (-y), with -y read off the addition table
+        "reversibility": _first_failure(
+            ((x, y, z) for x, y in product(cls, repeat=2) for z in add[x, y]),
+            lambda x, y, z: x in add[z, neg[y]],
+        ) if len(neg) == len(cls) else None,
+        "associativity": _first_failure(
+            product(cls, repeat=3),
+            lambda x, y, z: frozenset().union(*(add[w, z] for w in add[x, y]))
+            == frozenset().union(*(add[x, v] for v in add[y, z])),
+        ),
+        "distributivity": _first_failure(
+            product(cls, repeat=3),
+            lambda a, x, y: frozenset(mul(a, w) for w in add[x, y]) == add[mul(a, x), mul(a, y)],
+        ),
+        "absorption": _first_failure(singles, lambda x: mul(x, zero) == zero == mul(zero, x)),
+        # nonzero classes must form an abelian group with identity one != zero
+        "multiplicative_inverses": [(zero, one)] if one == zero else _first_failure(
+            ((x,) for x in nonzero),
+            lambda x: mul(x, one) == x and any(mul(x, y) == one for y in nonzero),
+        ),
+    }
     return AxiomReport(
-        identity_ok=identity_ok,
-        unique_inverses_ok=unique_inverses_ok,
-        reversibility_ok=reversibility_ok,
-        associativity_ok=associativity_ok,
-        commutativity_ok=commutativity_ok,
-        distributivity_ok=distributivity_ok,
-        absorption_ok=absorption_ok,
-        multiplicative_inverses_ok=multiplicative_inverses_ok,
-        counterexamples=bad,
+        **{f"{name}_ok": witnesses == [] for name, witnesses in found.items()},
+        counterexamples=[(name, w) for name, witnesses in found.items() for w in witnesses or ()],
     )

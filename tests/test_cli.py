@@ -165,6 +165,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--fixture", str(bad))
         assert code == 2 and "line 2" in err
 
+    def test_undecodable_fixture_is_bad_args(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe7,3,{3 4 5}\n")
+        code, out, err = run_cli(capsys, "verify", "--fixture", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(bad) in err and "UTF-8" in err
+
     def test_empty_fixture_warns_but_passes(self, capsys, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("# nothing here\n")

@@ -153,11 +153,15 @@ class TestValidateFixture:
 
     def test_parallel_and_serial_agree(self):
         rows = load_fixtures(shipped_fixture_path())[:40]
+        # every seventh row made wrong, so that the order of failures shows
+        rows[3::7] = [FixtureRow(r.p, r.order, r.generators + (10**6,)) for r in rows[3::7]]
         serial = validate_fixture(rows, workers=1)
         parallel = validate_fixture(rows, workers=2)
         assert serial.total == parallel.total == 40
-        assert serial.passed == parallel.passed
+        assert serial.passed == parallel.passed == 40 - len(rows[3::7])
         assert serial.failures == parallel.failures
+        failed = [(int(row.p), row.order) for row, _, _ in serial.failures]
+        assert failed == sorted(failed) and len(set(failed)) == len(rows[3::7])
 
 
 class TestWorkerCap:

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperchar.characteristic import characteristic_bitset
-from hyperchar.hyperfield import QuotientHyperfield, check_axioms
+from hyperchar.hyperfield import AxiomReport, QuotientHyperfield, check_axioms
 from hyperchar.modular import Prime
 
 from conftest import subgroup_pairs
@@ -110,10 +110,152 @@ class TestAxioms:
         assert all(len(H.hyperadd(x, y)) == 1 for x in H.classes for y in H.classes)
         assert check_axioms(H).all_ok
 
+    def test_reversibility_reads_inverses_off_the_addition_table(self):
+        class WrongNeg(QuotientHyperfield):
+            def neg(self, x):
+                return x
+
+        assert check_axioms(WrongNeg(7, 1)) == check_axioms(QuotientHyperfield(7, 1))
+
     def test_counterexamples_empty_iff_all_flags(self):
         for p, n in subgroup_pairs(13):
             report = check_axioms(QuotientHyperfield(p, n))
             assert report.all_ok == (report.counterexamples == [])
+
+
+# Quotients with one operation deliberately broken, so that the audit has
+# something to find. Each targets one axiom; the pinned reports below also
+# list whatever else the change breaks.
+
+
+class ZeroSumHoldsNegative(QuotientHyperfield):
+    """x + 0 also holds -x, so 0 is not an additive identity."""
+
+    def hyperadd(self, x, y):
+        out = super().hyperadd(x, y)
+        return out | {self.neg(x + y)} if self.zero in (x, y) else out
+
+
+class ZeroInNonzeroSums(QuotientHyperfield):
+    """0 lies in every sum of two nonzero classes, so inverses are not unique."""
+
+    def hyperadd(self, x, y):
+        out = super().hyperadd(x, y)
+        return out | {self.zero} if x != self.zero and y != self.zero else out
+
+
+class RightFactorTwice(QuotientHyperfield):
+    """x * y is the class of x*y*y, which is not commutative."""
+
+    def hypermul(self, x, y):
+        return super().hypermul(super().hypermul(x, y), y)
+
+
+class DoublingDropsX(QuotientHyperfield):
+    """x + x no longer holds x: inverses stay unique, reversibility breaks."""
+
+    def hyperadd(self, x, y):
+        out = super().hyperadd(x, y)
+        return out - {x} if x == y != self.zero else out
+
+
+class DoublingAddsX(QuotientHyperfield):
+    """x + x also holds x, which breaks associativity."""
+
+    def hyperadd(self, x, y):
+        out = super().hyperadd(x, y)
+        return out | {x} if x == y != self.zero else out
+
+
+class DoublingAddsOne(QuotientHyperfield):
+    """x + x also holds one, so scaling a sum no longer scales its summands."""
+
+    def hyperadd(self, x, y):
+        out = super().hyperadd(x, y)
+        return out | {self.one} if x == y != self.zero else out
+
+
+class ZeroProductIsOne(QuotientHyperfield):
+    """Every product that should be 0 is one instead."""
+
+    def hypermul(self, x, y):
+        return super().hypermul(x, y) or self.one
+
+
+class MovedOne(QuotientHyperfield):
+    """The class named as the multiplicative identity is another one."""
+
+    def __init__(self, p, n, one):
+        super().__init__(p, n)
+        self.one = one
+
+
+def failing_report(*failed, counterexamples):
+    """AxiomReport with exactly the named axioms' flags false."""
+    names = ("identity", "unique_inverses", "reversibility", "associativity", "commutativity",
+             "distributivity", "absorption", "multiplicative_inverses")
+    assert set(failed) <= set(names)
+    return AxiomReport(**{f"{name}_ok": name not in failed for name in names},
+                       counterexamples=counterexamples)
+
+
+BROKEN_QUOTIENTS = {
+    "identity": (
+        ZeroSumHoldsNegative(7, 3),
+        failing_report("identity", "reversibility", "associativity", counterexamples=[
+            ("identity", (1,)), ("reversibility", (0, 1, 3)), ("associativity", (0, 1, 1))]),
+    ),
+    # every failing class is recorded; reversibility is false but has no
+    # witness, since it is only checked once every inverse is unique
+    "unique_inverses": (
+        ZeroInNonzeroSums(13, 4),
+        failing_report("unique_inverses", "reversibility", counterexamples=[
+            ("unique_inverses", (1, (1, 2, 4))),
+            ("unique_inverses", (2, (1, 2, 4))),
+            ("unique_inverses", (4, (1, 2, 4)))]),
+    ),
+    "commutativity": (
+        RightFactorTwice(13, 4),
+        failing_report("commutativity", counterexamples=[("commutativity", (1, 2))]),
+    ),
+    "reversibility": (
+        DoublingDropsX(7, 3),
+        failing_report("reversibility", "associativity", counterexamples=[
+            ("reversibility", (1, 3, 1)), ("associativity", (1, 1, 3))]),
+    ),
+    "associativity": (
+        DoublingAddsX(11, 2),
+        failing_report("associativity", counterexamples=[("associativity", (1, 1, 2))]),
+    ),
+    "distributivity": (
+        DoublingAddsOne(5, 2),
+        failing_report("distributivity", counterexamples=[("distributivity", (2, 1, 1))]),
+    ),
+    "absorption": (
+        ZeroProductIsOne(5, 2),
+        failing_report("distributivity", "absorption", counterexamples=[
+            ("distributivity", (0, 0, 0)), ("absorption", (0,))]),
+    ),
+    "one_is_zero": (
+        MovedOne(5, 2, one=0),
+        failing_report("multiplicative_inverses", counterexamples=[
+            ("multiplicative_inverses", (0, 0))]),
+    ),
+    "one_is_not_neutral": (
+        MovedOne(5, 2, one=2),
+        failing_report("multiplicative_inverses", counterexamples=[
+            ("multiplicative_inverses", (1,))]),
+    ),
+}
+
+
+class TestBrokenAxioms:
+    @pytest.mark.parametrize("case", list(BROKEN_QUOTIENTS))
+    def test_report_is_pinned(self, case):
+        H, expected = BROKEN_QUOTIENTS[case]
+        report = check_axioms(H)
+        assert report == expected
+        assert not report.all_ok
 
 
 class TestNFoldSums:
