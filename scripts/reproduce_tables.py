@@ -31,6 +31,10 @@ def main() -> int:
     parser.add_argument("--n-max", type=int, default=10001, help="witness scan bound (odd)")
     parser.add_argument("--threads", type=int, default=1, help="worker processes")
     args = parser.parse_args()
+    if args.p_max < 2:
+        parser.error(f"--p-max must be at least 2, got {args.p_max}")
+    if args.n_max < 3 or args.n_max % 2 == 0:
+        parser.error(f"--n-max must be an odd integer >= 3, got {args.n_max}")
 
     t0 = time.perf_counter()
     fresh = {(int(r.p), r.order): r.generators for r in table_rows(args.p_max, args.threads)}

@@ -5,6 +5,7 @@ one-line acceptance checklist as those tests finish."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -172,3 +173,36 @@ def oracle_eisenstein_search(p: int):
     if first.companion != second:
         raise AssertionError(f"solutions for p={p} are not companions: {first}, {second}")
     return first, second
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_candidate_sums(p: int, q: int):
+    """Norm candidates with greedy witnesses, by walking all p-1 residue steps,
+    keeping every mask and backtracking each candidate s through s of them.
+    Cached: several tests check the same pairs; callers must not mutate it."""
+    from itertools import islice
+
+    from hyperchar.characteristic import residue_steps
+    from hyperchar.modular import Prime, subgroup_of_order
+    from hyperchar.norm_criterion import NormCandidateSet
+
+    g = subgroup_of_order(p, q).generator
+    powers = [pow(g, j, p) for j in range(q - 1)]
+    masks = [1, *islice(residue_steps(p, powers), p - 1)]
+
+    sums = [s for s in range(1, p) if masks[s] & 1]
+    witnesses = {}
+    for s in sums:
+        counts = [0] * (q - 1)
+        residue = 0
+        for k in range(s, 0, -1):
+            for j, power in enumerate(powers):
+                prev = (residue - power) % p
+                if (masks[k - 1] >> prev) & 1:
+                    counts[j] += 1
+                    residue = prev
+                    break
+            else:
+                raise AssertionError(f"backtrack failed at ({p}, {q}), s={s}")
+        witnesses[s] = tuple(counts)
+    return NormCandidateSet(p=Prime(p), q=Prime(q), sums=tuple(sums), witnesses=witnesses)

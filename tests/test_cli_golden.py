@@ -6,6 +6,8 @@ inapplicable-route messages and exit code, and the argparse choices order
 byte of what users see.
 """
 
+import hashlib
+
 import pytest
 
 from hyperchar.cli import main
@@ -42,6 +44,13 @@ GOLDEN_ALL = {
     (31, 6, "json"): '{"generators": [2, 3], "n": 6, "p": 31, "route": "dp"}\n',
 }
 
+# sha256 of the stdout of `genset --route norm --format json` on larger inputs,
+# where the witnesses come from the q = 3 formula and the saturating walk
+GOLDEN_NORM_JSON_SHA256 = {
+    (1021, 3): "d6c2b1f5f112a094f20b4d38c45f5b9a3a6dbc24f34278da88ed525ca01e5e4e",
+    (953, 7): "aa833713da8e07c46dc72bccc8bee452e2e3f6605a4950db614fdffe2af05eb3",
+}
+
 GENSET_HELP = """\
 usage: hyperchar genset [-h] --p P --n N [--route {dp,closed,norm,all}]
                         [--format {plain,csv,json}] [--timing]
@@ -62,6 +71,15 @@ def test_route_all_exact_stdout(capsys, p, n, fmt):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == GOLDEN_ALL[(p, n, fmt)]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("p,n", sorted(GOLDEN_NORM_JSON_SHA256))
+def test_large_norm_json_digest(capsys, p, n):
+    code = main(["genset", "--p", str(p), "--n", str(n), "--route", "norm", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN_NORM_JSON_SHA256[(p, n)]
     assert captured.err == ""
 
 

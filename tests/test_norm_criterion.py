@@ -1,8 +1,14 @@
+import json
+import math
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperchar.characteristic import characteristic_bitset, minimal_generating_set
+from hyperchar import norm_criterion
+from hyperchar.characteristic import (CharacteristicSet, characteristic_bitset,
+                                      minimal_generating_set, monoid_closure)
 from hyperchar.modular import Prime, subgroup_of_order
 from hyperchar.norm_criterion import (
     candidate_sums,
@@ -12,7 +18,7 @@ from hyperchar.norm_criterion import (
     tuple_bound,
 )
 
-from conftest import oracle_is_prime
+from conftest import oracle_candidate_sums, oracle_is_prime
 
 PRIME_ORDER_PAIRS = [
     (p, q)
@@ -20,6 +26,53 @@ PRIME_ORDER_PAIRS = [
     for p in range(3, 200)
     if oracle_is_prime(p) and (p - 1) % q == 0
 ]
+
+# every prime q | p-1 for every prime p < 400
+ALL_PRIME_ORDERS_400 = [
+    (p, q)
+    for p in range(3, 400)
+    if oracle_is_prime(p)
+    for q in range(2, p)
+    if oracle_is_prime(q) and (p - 1) % q == 0
+]
+
+# the norm-route instances of the genset-large benchmark workload
+GENSET_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "genset.jsonl"
+BENCH_NORM_PAIRS = sorted({
+    (record["p"], record["n"])
+    for record in map(json.loads, GENSET_REFERENCE.read_text().splitlines())
+    if record["route"] == "norm"
+})
+
+
+@pytest.fixture
+def steps_drawn(monkeypatch):
+    """Masks the norm route draws from residue_steps, one entry per step."""
+    original = norm_criterion.residue_steps
+    drawn = []
+
+    def counting(*args):
+        for reach in original(*args):
+            drawn.append(reach)
+            yield reach
+
+    monkeypatch.setattr(norm_criterion, "residue_steps", counting)
+    return drawn
+
+
+@pytest.fixture
+def closure_coins(monkeypatch):
+    """Coins of every monoid_closure call the norm route makes."""
+    original = norm_criterion.monoid_closure
+    coins = []
+
+    def recording(given, bound):
+        given = tuple(given)
+        coins.append(given)
+        return original(given, bound)
+
+    monkeypatch.setattr(norm_criterion, "monoid_closure", recording)
+    return coins
 
 
 class TestFpNorm:
@@ -140,6 +193,22 @@ class TestCandidateSums:
         cand = candidate_sums(Prime(11), Prime(2))
         assert cand.sums == ()
 
+    @pytest.mark.parametrize("p,q", ALL_PRIME_ORDERS_400 + BENCH_NORM_PAIRS)
+    def test_matches_full_walk_oracle(self, p, q):
+        # sums and every witness tuple, against the backtrack through all p masks
+        assert candidate_sums(Prime(p), Prime(q)) == oracle_candidate_sums(p, q)
+
+
+class TestSaturatingWalk:
+    @pytest.mark.parametrize("p,q", [(p, q) for p, q in ALL_PRIME_ORDERS_400 + BENCH_NORM_PAIRS if q >= 3])
+    def test_stops_at_saturation(self, steps_drawn, p, q):
+        # q = 3 runs no DP; q >= 5 is full by step ceil((p-1)/(q-2)) (Cauchy-Davenport)
+        limit = 0 if q == 3 else math.ceil((p - 1) / (q - 2))
+        for route in (candidate_sums, generating_set_via_norm):
+            steps_drawn.clear()
+            route(Prime(p), Prime(q))
+            assert len(steps_drawn) <= limit, (route.__name__, p, q)
+
 
 class TestGeneratingSetViaNorm:
     @pytest.mark.parametrize(
@@ -161,6 +230,14 @@ class TestGeneratingSetViaNorm:
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError):
             generating_set_via_norm(Prime(13), Prime(5))
+
+    @pytest.mark.parametrize("p,q", ALL_PRIME_ORDERS_400 + BENCH_NORM_PAIRS)
+    def test_candidacy_matches_full_walk_oracle(self, closure_coins, p, q):
+        sums = oracle_candidate_sums(p, q).sums
+        expected = minimal_generating_set(CharacteristicSet(
+            p=Prime(p), order=q, bound=2 * p, mask=monoid_closure((p, q, *sums), 2 * p)))
+        assert generating_set_via_norm(Prime(p), Prime(q)) == expected
+        assert closure_coins == [(p, q, *sums)]
 
     @pytest.mark.parametrize("p,q", [(p, q) for p, q in PRIME_ORDER_PAIRS if p < 80])
     def test_agrees_with_dp_route(self, p, q):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -20,6 +22,17 @@ def test_reproduce_tables_past_the_fixture_range():
     assert done.returncode == 0, done.stdout + done.stderr
     assert "16 rows past the fixture unchecked" in done.stdout
     assert done.stdout.splitlines()[-1] == "all clear"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--p-max", "1"], "--p-max must be at least 2, got 1"),
+    (["--n-max", "4"], "--n-max must be an odd integer >= 3, got 4"),
+], ids=["p-max-1", "n-max-even"])
+def test_reproduce_tables_rejects_bad_bounds_before_work(args, message):
+    done = run_script("reproduce_tables.py", *args)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines()[-1].endswith("error: " + message)
 
 
 AUDIT_P_MAX_13 = """\
