@@ -10,6 +10,8 @@ Push the table bound or the scan bound up for a longer sitting; rows past
 the shipped fixture's range are recomputed and counted, not checked:
 
     python scripts/reproduce_tables.py --p-max 500 --n-max 89441
+
+Worker processes come from HYPERCHAR_THREADS (default 1), as for the CLI.
 """
 
 import argparse
@@ -22,6 +24,7 @@ from hyperchar.harness import (
     shipped_fixture_path,
     table_rows,
     validate_fixture,
+    worker_count,
 )
 
 
@@ -29,15 +32,18 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--p-max", type=int, default=199, help="regenerate rows up to this prime")
     parser.add_argument("--n-max", type=int, default=10001, help="witness scan bound (odd)")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes")
     args = parser.parse_args()
     if args.p_max < 2:
         parser.error(f"--p-max must be at least 2, got {args.p_max}")
     if args.n_max < 3 or args.n_max % 2 == 0:
         parser.error(f"--n-max must be an odd integer >= 3, got {args.n_max}")
+    try:
+        worker_count()
+    except ValueError as exc:
+        parser.error(str(exc))
 
     t0 = time.perf_counter()
-    fresh = {(int(r.p), r.order): r.generators for r in table_rows(args.p_max, args.threads)}
+    fresh = {(int(r.p), r.order): r.generators for r in table_rows(args.p_max)}
     rows = load_fixtures(shipped_fixture_path())
     covered = max(int(r.p) for r in rows)
     shipped = {(int(r.p), r.order): r.generators for r in rows if r.p <= args.p_max}
@@ -54,7 +60,7 @@ def main() -> int:
         print(f"  {key}: shipped={shipped.get(key)} fresh={fresh.get(key)}")
 
     t0 = time.perf_counter()
-    report = validate_fixture(rows, args.threads)
+    report = validate_fixture(rows)
     print(f"route cross-validation: {report.passed}/{report.total} rows passed "
           f"in {time.perf_counter() - t0:.2f}s")
     for row, computed, route in report.failures:

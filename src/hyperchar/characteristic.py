@@ -3,7 +3,9 @@
 The submonoid is S = {s >= 0 : some multiset of s elements of G sums to 0 mod p}.
 Membership is decided by a reachable-residue dynamic program over big-integer
 bitmasks: bit r of the step-k mask says "some sum of exactly k subgroup elements
-is congruent to r mod p". All results are exact; no sampling, no floats.
+is congruent to r mod p". Each minimal generator is the least member outside
+the closure of the smaller ones; that closing step (doubling shifts) also builds
+the norm route's monoid. All results are exact; no sampling, no floats.
 """
 
 from __future__ import annotations
@@ -108,38 +110,42 @@ def characteristic_bitset(p: Prime, n: int, bound: Optional[int] = None) -> Char
     return CharacteristicSet(p=p, order=n, bound=bound, mask=mask)
 
 
-def _set_bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of a nonnegative mask, ascending."""
-    return (i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+def _close(mask: int, c: int, bound: int) -> int:
+    """mask plus every multiple of c > 0 added to its members, within [0, bound]:
+    after shifts by c, 2c, ..., 2^j c every k c with k < 2^(j+1) is added."""
+    window = (1 << (bound + 1)) - 1
+    while c <= bound:
+        mask |= (mask << c) & window
+        c *= 2
+    return mask
 
 
 def monoid_minimal_generators(mask: int) -> tuple[int, ...]:
-    """Minimal generators of a numerical submonoid given its membership bitmask.
+    """Minimal generators of the monoid that the set bits of mask generate.
 
-    An element is a generator iff it is a member and not a sum of two smaller
-    positive members. Computed with one bitmask convolution.
+    A member is a minimal generator iff the monoid of the smaller generators
+    misses it, so each generator is the least bit of mask outside the closure
+    of those found so far: one _close pass per generator. For a mask not closed
+    under addition these are the generators of the monoid its bits generate.
     """
-    positive = mask & ~1
-    decomposable = 0
-    for i in _set_bits(positive):
-        decomposable |= positive << i
-    return tuple(_set_bits(positive & ~decomposable))
+    if mask < 0:
+        raise ValueError(f"mask must be nonnegative, got {mask}")
+    bound = mask.bit_length() - 1
+    generators, closure = [], 1
+    while rest := mask & ~closure:
+        g = (rest & -rest).bit_length() - 1
+        generators.append(g)
+        closure = _close(closure, g, bound)
+    return tuple(generators)
 
 
 def monoid_closure(coins: Iterable[int], bound: int) -> int:
-    """Bitmask of the members in [0, bound] of the monoid the coins generate.
-
-    Shifts by c, 2c, 4c, ... up to the bound add every multiple of a coin c. A
-    coin already in the monoid (0 included) is a sum of smaller coins: skipped.
-    """
-    window = (1 << (bound + 1)) - 1
+    """Bitmask of the members in [0, bound] of the monoid the coins generate;
+    a coin already in it (0 included) is a sum of smaller coins and is skipped."""
     mask = 1
     for c in sorted(coins):
         if not mask >> c & 1:
-            shift = c
-            while shift <= bound:
-                mask |= (mask << shift) & window
-                shift *= 2
+            mask = _close(mask, c, bound)
     return mask
 
 
@@ -156,8 +162,7 @@ def _min_summands_table(G: UnitSubgroup, cap: int) -> list[int]:
     """mc[t] = least number of terms g-1 (over g in G, g > 1) summing to t, or cap+1."""
     denoms = [g - 1 for g in G.elements if g > 1]
     inf = cap + 1
-    mc = [inf] * (cap + 1)
-    mc[0] = 0
+    mc = [0] + [inf] * cap
     for t in range(1, cap + 1):
         best = inf
         for d in denoms:
@@ -165,22 +170,6 @@ def _min_summands_table(G: UnitSubgroup, cap: int) -> list[int]:
                 best = mc[t - d] + 1
         mc[t] = best
     return mc
-
-
-# the table of the most recent (p, G) only: sweeps run one (p, G) at a time
-_MC_CACHE: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-
-
-def _min_summands(G: UnitSubgroup, cap: int) -> list[int]:
-    # rebuild with doubling so an ascending sweep of s costs O(log) rebuilds
-    key = (int(G.p), G.elements)
-    cached = _MC_CACHE.get(key)
-    if cached is None or len(cached) <= cap:
-        target = cap if cached is None else max(cap, 2 * (len(cached) - 1))
-        cached = _min_summands_table(G, target)
-        _MC_CACHE.clear()
-        _MC_CACHE[key] = cached
-    return cached
 
 
 def kp_representation_check(p: Prime, G: UnitSubgroup, s: int) -> bool:
@@ -205,6 +194,6 @@ def kp_representation_check(p: Prime, G: UnitSubgroup, s: int) -> bool:
     if s * (G.order - 1) >= p - 1:
         return True
     cap = s * (max(G.elements) - 1)  # mc[t] <= s is impossible past this
-    mc = _min_summands(G, cap)
+    mc = _min_summands_table(G, cap)
     # the deficits t = kp - s, k >= 1, are the t >= 0 congruent to -s; t <= cap forces k < s
     return any(mc[t] <= s for t in range(-s % p, cap + 1, p))

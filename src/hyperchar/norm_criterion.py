@@ -79,14 +79,17 @@ def _walk_sums(p: Prime, masks: Iterable[int]) -> list[int]:
     return sums + list(range(k + 1, p))
 
 
-def _order_three_witnesses(p: Prime, g: int) -> dict[int, tuple[int, int]]:
-    """Candidates and witnesses for q = 3, from a formula instead of a walk.
+def _small_order_witnesses(p: Prime, powers: list[int]) -> dict[int, tuple[int, ...]]:
+    """Candidates and witnesses for q <= 3, from a formula instead of a walk.
 
-    a_0 + a_1 = s and a_0 + a_1 g = 0 force a_1 (g - 1) = -s mod p, so
-    a_1 = -s (g-1)^{-1} mod p is the only solution with a_1 in [0, p-1], and
-    s is a candidate iff a_1 <= s, with witness (s - a_1, a_1).
+    For q = 2 the only power is 1, and 0 < s < p ones never sum to 0 mod p.
+    For q = 3, a_0 + a_1 = s and a_0 + a_1 g = 0 force a_1 (g - 1) = -s mod p,
+    so a_1 = -s (g-1)^{-1} mod p is the only solution with a_1 in [0, p-1],
+    and s is a candidate iff a_1 <= s, with witness (s - a_1, a_1).
     """
-    inverse = pow(g - 1, -1, p)
+    if len(powers) == 1:
+        return {}
+    inverse = pow(powers[1] - 1, -1, p)
     witnesses = {}
     for s in range(1, p):
         a1 = -s * inverse % p
@@ -158,7 +161,7 @@ def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
 
     A sum qualifies iff residue 0 is reachable by exactly s allowed powers
     g^0..g^{q-2}. Each witness is the greedy (lexicographically largest)
-    count vector. For q = 3 the witnesses come from a formula and no DP runs.
+    count vector. For q <= 3 the witnesses come from a formula and no DP runs.
     For q >= 5 the walk stops at its first full mask, step k0 <=
     ceil((p-1)/(q-2)); only masks 0..k0 are kept (still about p^2/(8(q-2))
     bytes), and the backtrack for s > k0 jumps over its s - k0 g^0 steps.
@@ -166,8 +169,8 @@ def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
     answer does not depend on which primitive root generated g.
     """
     powers = _norm_powers(p, q)
-    if q == 3:
-        witnesses = _order_three_witnesses(p, powers[1])
+    if q <= 3:
+        witnesses = _small_order_witnesses(p, powers)
     else:
         # masks[k] bit r set iff some multiset of exactly k allowed powers sums to r
         masks = [1, *_saturating_walk(p, powers)]
@@ -183,14 +186,14 @@ def generating_set_via_norm(p: Prime, q: Prime) -> GeneratingSet:
     is at most p, so the 2p window sees all of their pairwise sums and the
     extraction is sound without assuming anything about the table route.
 
-    Candidacy for q = 3 comes from the same formula as candidate_sums; for
+    Candidacy for q <= 3 comes from the same formula as candidate_sums; for
     q >= 5 it is read from bit 0 of each mask of the walk, which stops at its
     first full mask. No mask is kept and no witness is built. Audit
     witnesses come from candidate_sums, which only JSON output calls.
     """
     powers = _norm_powers(p, q)
-    if q == 3:
-        sums = list(_order_three_witnesses(p, powers[1]))
+    if q <= 3:
+        sums = list(_small_order_witnesses(p, powers))
     else:
         sums = _walk_sums(p, _saturating_walk(p, powers))
     mask = monoid_closure((int(p), int(q), *sums), 2 * p)

@@ -124,6 +124,20 @@ def oracle_minimal_generators(member: list[bool]) -> list[int]:
     return gens
 
 
+def oracle_convolution_generators(mask: int) -> tuple[int, ...]:
+    """Minimal generators of a monoid membership mask: the members that are not
+    a sum of two smaller positive members, found with one bitmask convolution."""
+
+    def set_bits(mask: int):
+        return (i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+
+    positive = mask & ~1
+    decomposable = 0
+    for i in set_bits(positive):
+        decomposable |= positive << i
+    return tuple(set_bits(positive & ~decomposable))
+
+
 def regenerate(generators, bound: int) -> list[bool]:
     """Monoid generated by the given set, as a membership table."""
     member = [False] * (bound + 1)

@@ -20,6 +20,7 @@ from hyperchar.modular import Prime, subgroup_of_order
 from conftest import (
     as_mask,
     oracle_continuity_threshold,
+    oracle_convolution_generators,
     oracle_member_enumerate,
     oracle_members_setwalk,
     oracle_minimal_generators,
@@ -121,6 +122,30 @@ class TestMinimalGeneratingSet:
         mask = as_mask(regenerate([4, 9], 30))
         assert monoid_minimal_generators(mask) == (4, 9)
 
+    @pytest.mark.parametrize("p,n", subgroup_pairs(199))
+    def test_matches_convolution_oracle(self, p, n):
+        mask = characteristic_bitset(Prime(p), n).mask
+        assert monoid_minimal_generators(mask) == oracle_convolution_generators(mask)
+
+    def test_mask_not_closed_gives_generators_of_its_monoid(self):
+        # 6 = 2 + 2 + 2 although 4 is missing from the mask
+        assert monoid_minimal_generators(0b1000101) == (2,)
+        assert monoid_minimal_generators(0) == ()
+        with pytest.raises(ValueError):
+            monoid_minimal_generators(-1)
+
+    def test_closes_once_per_generator(self, monkeypatch):
+        mask = monoid_closure([2, 20011], 40022)
+        original, calls = characteristic._close, []
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(characteristic, "_close", counting)
+        assert monoid_minimal_generators(mask) == (2, 20011)
+        assert calls == [2, 20011]
+
 
 @st.composite
 def coin_sets(draw):
@@ -135,6 +160,16 @@ class TestMonoidClosure:
     @settings(max_examples=400, deadline=None)
     def test_matches_regenerate_oracle(self, coins, bound):
         assert monoid_closure(coins, bound) == as_mask(regenerate(coins, bound))
+
+    @given(coin_sets(), st.integers(0, 400))
+    @settings(max_examples=300, deadline=None)
+    def test_extraction_matches_oracles(self, coins, bound):
+        mask = monoid_closure(coins, bound)
+        generators = monoid_minimal_generators(mask)
+        assert generators == oracle_convolution_generators(mask)
+        if bound <= 120:
+            member = [bool(mask >> s & 1) for s in range(bound + 1)]
+            assert list(generators) == oracle_minimal_generators(member)
 
     def test_zero_coin_adds_nothing_and_negative_coin_raises(self):
         assert monoid_closure([3, 0], 10) == monoid_closure([3], 10) == 0b1001001001
@@ -211,12 +246,18 @@ class TestKpRepresentation:
         for s, expected in enumerate(oracle):
             assert kp_representation_check(prime, G, s) == expected, (p, n, s)
 
-    def test_large_count_needs_no_table(self):
+    def test_large_count_needs_no_table(self, monkeypatch):
         # without the Cauchy-Davenport shortcut this needs a table of about
         # s * max(G) entries, built at |G| steps each (seconds at this size)
-        characteristic._MC_CACHE.clear()
+        original, calls = characteristic._min_summands_table, []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(characteristic, "_min_summands_table", counting)
         assert kp_representation_check(Prime(421), subgroup_of_order(Prime(421), 210), 840)
-        assert list(characteristic._MC_CACHE) == []
+        assert calls == []
 
     def test_trivial_subgroup(self):
         G = subgroup_of_order(Prime(7), 1)
@@ -227,9 +268,3 @@ class TestKpRepresentation:
         G = subgroup_of_order(Prime(7), 3)
         with pytest.raises(ValueError):
             kp_representation_check(Prime(7), G, -1)
-
-    def test_holds_only_the_latest_table(self):
-        # both counts sit below ceil((p-1)/(n-1)), so each builds a table
-        kp_representation_check(Prime(13), subgroup_of_order(Prime(13), 3), 5)
-        kp_representation_check(Prime(31), subgroup_of_order(Prime(31), 5), 7)
-        assert list(characteristic._MC_CACHE) == [(31, subgroup_of_order(Prime(31), 5).elements)]

@@ -200,10 +200,10 @@ class TestCandidateSums:
 
 
 class TestSaturatingWalk:
-    @pytest.mark.parametrize("p,q", [(p, q) for p, q in ALL_PRIME_ORDERS_400 + BENCH_NORM_PAIRS if q >= 3])
+    @pytest.mark.parametrize("p,q", ALL_PRIME_ORDERS_400 + BENCH_NORM_PAIRS)
     def test_stops_at_saturation(self, steps_drawn, p, q):
-        # q = 3 runs no DP; q >= 5 is full by step ceil((p-1)/(q-2)) (Cauchy-Davenport)
-        limit = 0 if q == 3 else math.ceil((p - 1) / (q - 2))
+        # q <= 3 runs no DP; q >= 5 is full by step ceil((p-1)/(q-2)) (Cauchy-Davenport)
+        limit = 0 if q <= 3 else math.ceil((p - 1) / (q - 2))
         for route in (candidate_sums, generating_set_via_norm):
             steps_drawn.clear()
             route(Prime(p), Prime(q))
