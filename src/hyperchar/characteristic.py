@@ -185,6 +185,8 @@ def kp_representation_check(p: Prime, G: UnitSubgroup, s: int) -> bool:
     residues, so every s >= ceil((p-1)/(n-1)) reaches 0 and is a member with
     no table; the table then never needs more than about p^2 entries.
     """
+    if G.p != p:
+        raise ValueError(f"G is a subgroup mod {G.p}, not mod {p}")
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
     if s == 0:

@@ -19,7 +19,9 @@ from typing import Optional
 from .harness import (
     ROUTES,
     FixtureParseError,
+    FixtureRow,
     applicable_routes,
+    braced,
     conjecture_scan,
     load_fixtures,
     shipped_fixture_path,
@@ -41,29 +43,17 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _format_plain(gens: tuple[int, ...]) -> str:
-    return "{" + ", ".join(str(g) for g in gens) + "}"
-
-
-def _format_braced(gens: tuple[int, ...]) -> str:
-    return "{" + " ".join(str(g) for g in gens) + "}"
-
-
-def _emit_record(route: str, p: int, n: int, gens: tuple[int, ...], fmt: str,
-                 witnesses: Optional[dict] = None, elapsed_ms: Optional[float] = None,
-                 lone_route: bool = True) -> None:
+def _record(fmt: str, row: FixtureRow, route: str = "dp", label: str = "", **extra) -> str:
+    """One output line for row: genset's plain, csv and json, or table's fixture and
+    jsonl. label prefixes a plain line; extra adds JSON fields."""
     if fmt == "plain":
-        prefix = "" if lone_route else f"{route} "
-        print(f"{prefix}{_format_plain(gens)}")
-    elif fmt == "csv":
-        print(f"{p},{n},{route},{_format_braced(gens)}")
-    else:
-        record: dict = {"p": p, "n": n, "route": route, "generators": list(gens)}
-        if witnesses is not None:
-            record["witnesses"] = {str(s): list(c) for s, c in sorted(witnesses.items())}
-        if elapsed_ms is not None:
-            record["elapsed_ms"] = round(elapsed_ms, 3)
-        print(json.dumps(record, sort_keys=True))
+        return label + braced(row.generators, ", ")
+    if fmt == "fixture":
+        return row.as_line()
+    if fmt == "csv":
+        return f"{int(row.p)},{row.order},{route},{braced(row.generators)}"
+    record = {"p": int(row.p), "n": row.order, "route": route, "generators": list(row.generators)}
+    return json.dumps({**record, **extra}, sort_keys=True)
 
 
 def cmd_genset(args: argparse.Namespace) -> int:
@@ -87,16 +77,16 @@ def cmd_genset(args: argparse.Namespace) -> int:
     distinct = set()
     for name in requested:
         route = ROUTES[name]
+        extra = {}
         t0 = time.perf_counter()
         gens = route.run(p, n).generators
-        witnesses = route.witnesses(p, n) if route.witnesses and args.format == "json" else None
+        if route.witnesses and args.format == "json":
+            extra["witnesses"] = {str(s): c for s, c in route.witnesses(p, n).items()}
         elapsed = (time.perf_counter() - t0) * 1000.0
-        _emit_record(
-            name, int(p), n, gens, args.format,
-            witnesses=witnesses,
-            elapsed_ms=elapsed if (args.timing and args.format == "json") else None,
-            lone_route=args.route != "all",
-        )
+        if args.timing and args.format == "json":
+            extra["elapsed_ms"] = round(elapsed, 3)
+        label = f"{name} " if args.route == "all" else ""
+        print(_record(args.format, FixtureRow(p, n, gens), name, label, **extra))
         if args.timing:
             print(f"# {name}: {elapsed:.3f} ms", file=sys.stderr)
         distinct.add(gens)
@@ -112,18 +102,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         workers = worker_count()
     except ValueError as exc:
         return _fail(EXIT_BAD_ARGS, str(exc))
-    rows = table_rows(args.p_max, workers)
-    if args.format == "fixture":
-        lines = [row.as_line() for row in rows]
-    else:
-        lines = [
-            json.dumps(
-                {"p": int(r.p), "n": r.order, "route": "dp", "generators": list(r.generators)},
-                sort_keys=True,
-            )
-            for r in rows
-        ]
-    payload = "\n".join(lines) + "\n"
+    payload = "".join(_record(args.format, row) + "\n" for row in table_rows(args.p_max, workers))
     if args.output == "-":
         sys.stdout.write(payload)
         return EXIT_OK
@@ -153,7 +132,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"total={report.total} passed={report.passed} failed={len(report.failures)}")
     for row, computed, route in report.failures:
         print(
-            f"mismatch: {row.as_line()} route={route} computed={_format_braced(computed.generators)}",
+            f"mismatch: {row.as_line()} route={route} computed={braced(computed.generators)}",
             file=sys.stderr,
         )
     for note in report.notes:

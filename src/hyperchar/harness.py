@@ -14,7 +14,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
@@ -50,8 +49,15 @@ class FixtureParseError(ValueError):
     """Malformed fixture content; message names the offending line."""
 
 
+def braced(generators: Iterable[int], sep: str = " ") -> str:
+    """The `{g1 g2 ...}` text of a generator list, as fixtures and the CLI print it."""
+    return "{" + sep.join(map(str, generators)) + "}"
+
+
 @dataclass(frozen=True)
 class FixtureRow:
+    """One (p, n, minimal generators) row, as fixtures, `table` and `verify` carry it."""
+
     p: Prime
     order: int
     generators: tuple[int, ...]
@@ -59,12 +65,10 @@ class FixtureRow:
     def __post_init__(self) -> None:
         if self.order < 1 or (self.p - 1) % self.order != 0:
             raise ValueError(f"order {self.order} does not divide {self.p} - 1")
-        if list(self.generators) != sorted(set(self.generators)):
-            raise ValueError("generators must be strictly increasing")
+        GeneratingSet(self.generators)  # the one rule for a generator list
 
     def as_line(self) -> str:
-        inner = " ".join(str(g) for g in self.generators)
-        return f"{int(self.p)},{self.order},{{{inner}}}"
+        return f"{int(self.p)},{self.order},{braced(self.generators)}"
 
 
 @dataclass
@@ -147,7 +151,7 @@ def load_fixtures(source: Union[str, Path, Iterable[str]]) -> list[FixtureRow]:
 
 def shipped_fixture_path(name: str = "reference_sets.txt") -> Path:
     """Path of a reference fixture bundled with the package."""
-    return Path(str(resources.files("hyperchar").joinpath("data", name)))
+    return Path(__file__).parent / "data" / name
 
 
 def applicable_routes(n: int) -> tuple[str, ...]:
@@ -177,15 +181,14 @@ def cross_validate(p: Prime, n: int) -> RouteComparison:
     )
 
 
-def _validate_row(item: tuple[int, int, tuple[int, ...]]):
-    p, n, expected = item
-    comparison = cross_validate(Prime(p), n)
-    return p, n, expected, comparison
+def _validate_row(row: FixtureRow) -> RouteComparison:
+    return cross_validate(row.p, row.order)
 
 
-def _table_row(item: tuple[int, int]):
+def _table_row(item: tuple[int, int]) -> FixtureRow:
     p, n = item
-    return p, n, ROUTES["dp"].run(Prime(p), n).generators
+    prime = Prime(p)
+    return FixtureRow(p=prime, order=n, generators=ROUTES["dp"].run(prime, n).generators)
 
 
 def worker_count(requested: Optional[int] = None) -> int:
@@ -212,32 +215,23 @@ def _map_items(fn, items, workers: int):
 def validate_fixture(rows: list[FixtureRow], workers: Optional[int] = None) -> ValidationReport:
     """Cross-validate every fixture row; a row passes only if all applicable
     routes agree with each other and with the fixture's generators."""
-    items = sorted((int(row.p), row.order, row.generators) for row in rows)
-    outcomes = _map_items(_validate_row, items, worker_count(workers))
+    rows = sorted(rows, key=lambda row: (row.p, row.order, row.generators))
+    comparisons = _map_items(_validate_row, rows, worker_count(workers))
 
     failures: list[tuple[FixtureRow, GeneratingSet, str]] = []
     notes: list[str] = []
     route_ms = {route: 0.0 for route in ROUTES}
     passed = 0
-    for p, n, expected, comparison in outcomes:
-        row = FixtureRow(p=Prime(p), order=n, generators=expected)
-        row_ok = True
-        for route, gens in sorted(comparison.results.items()):
-            if gens != expected:
-                failures.append((row, GeneratingSet(generators=gens), route))
-                row_ok = False
+    for row, comparison in zip(rows, comparisons):
+        wrong = [(row, GeneratingSet(generators=gens), route)
+                 for route, gens in sorted(comparison.results.items()) if gens != row.generators]
+        failures.extend(wrong)
+        passed += not wrong
         for route, ms in comparison.timings_ms.items():
             route_ms[route] += ms
         notes.extend(comparison.notes)
-        if row_ok:
-            passed += 1
-    return ValidationReport(
-        total=len(items),
-        passed=passed,
-        failures=failures,
-        notes=tuple(notes),
-        route_ms=route_ms,
-    )
+    return ValidationReport(total=len(rows), passed=passed, failures=failures,
+                            notes=tuple(notes), route_ms=route_ms)
 
 
 def table_rows(p_max: int, workers: Optional[int] = None) -> list[FixtureRow]:
@@ -245,12 +239,9 @@ def table_rows(p_max: int, workers: Optional[int] = None) -> list[FixtureRow]:
     sorted by (p, n)."""
     if p_max < 2:
         raise ValueError(f"p_max must be at least 2, got {p_max}")
-    items = []
-    for p in range(2, p_max + 1):
-        if is_prime(p):
-            items.extend((p, n) for n in range(1, p) if (p - 1) % n == 0)
-    results = _map_items(_table_row, items, worker_count(workers))
-    return [FixtureRow(p=Prime(p), order=n, generators=gens) for p, n, gens in results]
+    items = [(p, n) for p in range(2, p_max + 1) if is_prime(p)
+             for n in range(1, p) if (p - 1) % n == 0]
+    return _map_items(_table_row, items, worker_count(workers))
 
 
 def find_witness(n: int) -> Optional[ConjectureWitness]:

@@ -268,3 +268,8 @@ class TestKpRepresentation:
         G = subgroup_of_order(Prime(7), 3)
         with pytest.raises(ValueError):
             kp_representation_check(Prime(7), G, -1)
+
+    def test_rejects_subgroup_of_another_prime(self, monkeypatch):
+        monkeypatch.setattr(characteristic, "_min_summands_table", None)  # no work before the check
+        with pytest.raises(ValueError, match="mod 13, not mod 7"):
+            kp_representation_check(Prime(7), subgroup_of_order(Prime(13), 3), 2)

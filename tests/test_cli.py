@@ -9,6 +9,53 @@ from hyperchar.cli import main
 from hyperchar.harness import parse_fixture_line
 
 
+# exact stdout of `table --p-max 13`, in both formats
+TABLE_13_FIXTURE = """\
+2,1,{2}
+3,1,{3}
+3,2,{2 3}
+5,1,{5}
+5,2,{2 5}
+5,4,{2 3}
+7,1,{7}
+7,2,{2 7}
+7,3,{3 4 5}
+7,6,{2 3}
+11,1,{11}
+11,2,{2 11}
+11,5,{3 4 5}
+11,10,{2 3}
+13,1,{13}
+13,2,{2 13}
+13,3,{3 5 7}
+13,4,{2 5}
+13,6,{2 3}
+13,12,{2 3}
+"""
+TABLE_13_JSONL = """\
+{"generators": [2], "n": 1, "p": 2, "route": "dp"}
+{"generators": [3], "n": 1, "p": 3, "route": "dp"}
+{"generators": [2, 3], "n": 2, "p": 3, "route": "dp"}
+{"generators": [5], "n": 1, "p": 5, "route": "dp"}
+{"generators": [2, 5], "n": 2, "p": 5, "route": "dp"}
+{"generators": [2, 3], "n": 4, "p": 5, "route": "dp"}
+{"generators": [7], "n": 1, "p": 7, "route": "dp"}
+{"generators": [2, 7], "n": 2, "p": 7, "route": "dp"}
+{"generators": [3, 4, 5], "n": 3, "p": 7, "route": "dp"}
+{"generators": [2, 3], "n": 6, "p": 7, "route": "dp"}
+{"generators": [11], "n": 1, "p": 11, "route": "dp"}
+{"generators": [2, 11], "n": 2, "p": 11, "route": "dp"}
+{"generators": [3, 4, 5], "n": 5, "p": 11, "route": "dp"}
+{"generators": [2, 3], "n": 10, "p": 11, "route": "dp"}
+{"generators": [13], "n": 1, "p": 13, "route": "dp"}
+{"generators": [2, 13], "n": 2, "p": 13, "route": "dp"}
+{"generators": [3, 5, 7], "n": 3, "p": 13, "route": "dp"}
+{"generators": [2, 5], "n": 4, "p": 13, "route": "dp"}
+{"generators": [2, 3], "n": 6, "p": 13, "route": "dp"}
+{"generators": [2, 3], "n": 12, "p": 13, "route": "dp"}
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -124,6 +171,12 @@ class TestTable:
             fixture = f"{record['p']},{record['n']},{{{' '.join(map(str, record['generators']))}}}"
             assert parse_fixture_line(fixture) is not None
 
+    def test_exact_stdout_both_formats(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--p-max", "13")
+        assert (code, out, err) == (0, TABLE_13_FIXTURE, "")
+        code, out, err = run_cli(capsys, "table", "--p-max", "13", "--format", "jsonl")
+        assert (code, out, err) == (0, TABLE_13_JSONL, "")
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "rows.txt"
         code, out, _ = run_cli(capsys, "table", "--p-max", "7", "--output", str(target))
@@ -154,6 +207,26 @@ class TestVerify:
         assert code == 1
         assert "total=2 passed=1 failed=" in out
         assert "7,3,{3 4 6}" in err
+
+    def test_corrupted_fixture_exact_output(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("7,3,{3 4 6}\n13,4,{2 5}\n")
+        code, out, err = run_cli(capsys, "verify", "--fixture", str(bad))
+        assert code == 1
+        assert out == "total=2 passed=1 failed=3\n"
+        assert [line for line in err.splitlines() if not line.endswith(" ms total")] == [
+            "mismatch: 7,3,{3 4 6} route=closed computed={3 4 5}",
+            "mismatch: 7,3,{3 4 6} route=dp computed={3 4 5}",
+            "mismatch: 7,3,{3 4 6} route=norm computed={3 4 5}",
+        ]
+
+    @pytest.mark.parametrize("row", ["7,3,{0 3 4 5}", "7,3,{-2 3}"])
+    def test_non_positive_generator_is_bad_args(self, capsys, tmp_path, row):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(row + "\n")
+        code, out, err = run_cli(capsys, "verify", "--fixture", str(bad))
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: generators must be positive\n"
 
     def test_missing_fixture_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "verify", "--fixture", str(tmp_path / "nope.txt"))

@@ -47,6 +47,8 @@ class TestFixtureParsing:
             "7,4,{2}",  # order does not divide p-1
             "7,3,{5 4 3}",  # not sorted
             "x,3,{3}",  # not an integer
+            "7,3,{0 3 4 5}",  # zero generator
+            "7,3,{-2 3}",  # negative generator
         ],
     )
     def test_malformed_rows_raise(self, line):
