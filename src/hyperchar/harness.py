@@ -5,14 +5,15 @@ nothing else in the package hardcodes table rows. Row validation compares
 every applicable route (membership DP, closed form, norm criterion) against
 the fixture and against each other. Work items are independent and are
 built in (p, n) order; results come back in input order, serially or from
-the pool, so output is deterministic no matter how many workers ran.
+the pool, so output is deterministic no matter how many workers ran. The
+pool and its imports load only when more than one worker will run, so
+default one-shot calls do not pay for them.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Union
@@ -208,6 +209,7 @@ def _map_items(fn, items, workers: int):
     workers = min(workers, os.cpu_count() or 1, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 

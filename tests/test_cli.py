@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
 from hyperchar.cli import main
-from hyperchar.harness import parse_fixture_line
+from hyperchar.harness import load_fixtures, parse_fixture_line, shipped_fixture_path
 
 
 # exact stdout of `table --p-max 13`, in both formats
@@ -298,6 +299,27 @@ class TestProcessLevel:
             assert proc.returncode == 0
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+    def test_one_worker_loads_no_pool(self, tmp_path):
+        # default one-shot calls must not pay for importing the process pool
+        fixture = tmp_path / "rows.txt"
+        rows = [row for row in load_fixtures(shipped_fixture_path()) if row.p <= 13]
+        fixture.write_text("".join(row.as_line() + "\n" for row in rows))
+        script = textwrap.dedent("""\
+            import sys
+            from hyperchar.cli import main
+            for argv in (["genset", "--p", "7", "--n", "3"], ["table", "--p-max", "13"],
+                         ["verify", "--fixture", sys.argv[1]]):
+                assert main(argv) == 0, argv
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"
+                         or m == "concurrent.futures.process"), file=sys.stderr)
+        """)
+        env = {k: v for k, v in os.environ.items() if k != "HYPERCHAR_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", script, str(fixture)],
+                              capture_output=True, env=env, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert f"total={len(rows)} passed={len(rows)} failed=0\n" in proc.stdout
+        assert proc.stderr.splitlines()[-1] == "[]"
 
     def test_unknown_flag_exits_2(self):
         proc = subprocess.run(

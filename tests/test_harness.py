@@ -187,7 +187,9 @@ class TestWorkerCap:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        # _map_items imports the pool class only when it starts one, so the
+        # fake goes where that import reads it
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         return created
 
     @pytest.mark.parametrize(
