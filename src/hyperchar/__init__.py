@@ -45,9 +45,7 @@ from .modular import (
 from .norm_criterion import (
     NormCandidateSet,
     candidate_sums,
-    fp_norm,
     generating_set_via_norm,
-    reduce_cyclotomic_coeffs,
     tuple_bound,
 )
 
@@ -79,7 +77,6 @@ __all__ = [
     "cross_validate",
     "eisenstein_solutions",
     "find_primitive_root",
-    "fp_norm",
     "gen_set_closed_form",
     "generating_set_via_norm",
     "is_prime",
@@ -87,7 +84,6 @@ __all__ = [
     "load_fixtures",
     "minimal_generating_set",
     "monoid_minimal_generators",
-    "reduce_cyclotomic_coeffs",
     "shipped_fixture_path",
     "subgroup_of_order",
     "table_rows",

@@ -3,9 +3,11 @@
 The submonoid is S = {s >= 0 : some multiset of s elements of G sums to 0 mod p}.
 Membership is decided by a reachable-residue dynamic program over big-integer
 bitmasks: bit r of the step-k mask says "some sum of exactly k subgroup elements
-is congruent to r mod p". Each minimal generator is the least member outside
-the closure of the smaller ones; that closing step (doubling shifts) also builds
-the norm route's monoid. All results are exact; no sampling, no floats.
+is congruent to r mod p". A step shifts the mask by every element into one
+wide int and folds the wrapped bits p..2p-2 back once. Each minimal generator
+is the least member outside the closure of the smaller ones; that closing
+step (doubling shifts) also builds the norm route's monoid. All results are
+exact; no sampling, no floats.
 """
 
 from __future__ import annotations
@@ -76,16 +78,21 @@ def residue_steps(p: int, elements: Sequence[int]) -> Iterator[int]:
     """Reach masks of the residue DP after k = 1, 2, ... steps, without end.
 
     Bit r of the k-th mask is set iff some multiset of exactly k of the given
-    residues (each in [1, p-1]) sums to r mod p.
+    residues sums to r mod p. Each step shifts the mask once per element into
+    one unmasked int and then folds it once: every element lies in [1, p-1],
+    so r + g <= 2p - 2 and bits p..2p-2 are exactly the sums that wrap. An
+    element outside [1, p-1] raises ValueError before the first mask.
     """
+    bad = next((g for g in elements if not 0 < g < p), None)
+    if bad is not None:
+        raise ValueError(f"residues must lie in [1, {p - 1}], got {bad}")
     mask = (1 << p) - 1
     reach = 1
     while True:
-        nxt = 0
+        wide = 0
         for g in elements:
-            # cyclic shift by g: residue r moves to (r + g) mod p
-            nxt |= (reach << g) | (reach >> (p - g))
-        reach = nxt & mask
+            wide |= reach << g
+        reach = (wide | wide >> p) & mask
         yield reach
 
 
@@ -104,10 +111,9 @@ def characteristic_bitset(p: Prime, n: int, bound: Optional[int] = None) -> Char
     if bound < 2 * (p - 1):
         raise ValueError(f"bound {bound} < 2(p-1) = {2 * (p - 1)}: generator extraction unsound")
     steps = islice(residue_steps(p, subgroup_of_order(p, n).elements), bound)
-    mask = 1
-    for s, reach in enumerate(steps, 1):
-        mask |= (reach & 1) << s
-    return CharacteristicSet(p=p, order=n, bound=bound, mask=mask)
+    # bit 0 of step s becomes bit s of the mask; the trailing "1" is the member 0
+    bits = "".join("1" if reach & 1 else "0" for reach in steps)
+    return CharacteristicSet(p=p, order=n, bound=bound, mask=int(bits[::-1] + "1", 2))
 
 
 def _close(mask: int, c: int, bound: int) -> int:

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from .characteristic import (CharacteristicSet, GeneratingSet, minimal_generating_set,
                              monoid_closure, residue_steps)
-from .modular import Prime, is_prime, subgroup_of_order
+from .modular import Prime, subgroup_of_order
 
 
 @dataclass(frozen=True)
@@ -119,41 +119,6 @@ def _backtrack(p: Prime, powers: list[int], masks: list[int], s: int) -> tuple[i
         else:
             raise AssertionError(f"backtrack failed at ({p}, {len(powers) + 1}), s={s}")
     return tuple(counts)
-
-
-def fp_norm(coeffs, p: Prime, q: Prime) -> int:
-    """Norm of f(zeta_q) = sum coeffs[j] zeta^j, evaluated inside F_p.
-
-    Returns the product of f(g^i) over i = 1..q-1 for g the canonical
-    primitive q-th root mod p; this is congruent mod p to the cyclotomic
-    norm, so norm-vanishing can be tested without leaving F_p.
-    """
-    if q < 2 or not is_prime(q) or (p - 1) % q != 0:
-        raise ValueError(f"q must be a prime divisor of p-1, got q={q}, p={p}")
-    coeffs = list(coeffs)
-    if len(coeffs) != q - 1:
-        raise ValueError(f"expected {q - 1} coefficients, got {len(coeffs)}")
-    g = subgroup_of_order(p, int(q)).generator
-    out = 1
-    for i in range(1, q):
-        x = pow(g, i, p)
-        fx = 0
-        for c in reversed(coeffs):
-            fx = (fx * x + c) % p
-        out = out * fx % p
-    return out
-
-
-def reduce_cyclotomic_coeffs(coeffs, p: Prime) -> tuple[int, ...]:
-    """Rewrite q coefficients (exponents 0..q-1) as q-1 (exponents 0..q-2).
-
-    Subtracting the top coefficient from all q coefficients leaves every
-    conjugate evaluation unchanged, because each g^i with i in 1..q-1 is a
-    nontrivial q-th root of unity and so sums the full power run to zero.
-    """
-    coeffs = [c % p for c in coeffs]
-    top = coeffs[-1]
-    return tuple((c - top) % p for c in coeffs[:-1])
 
 
 def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:

@@ -189,20 +189,68 @@ def oracle_eisenstein_search(p: int):
     return first, second
 
 
+def oracle_residue_steps(p: int, elements):
+    """Reach masks of the residue DP for k = 1, 2, ..., without end, by a cyclic
+    rotation per element: residue r moves to (r + g) mod p through two shifts,
+    masked at every step."""
+    mask = (1 << p) - 1
+    reach = 1
+    while True:
+        nxt = 0
+        for g in elements:
+            nxt |= (reach << g) | (reach >> (p - g))
+        reach = nxt & mask
+        yield reach
+
+
+def fp_norm(coeffs, p: int, q: int) -> int:
+    """Norm of f(zeta_q) = sum coeffs[j] zeta^j, evaluated inside F_p.
+
+    Returns the product of f(g^i) over i = 1..q-1 for g the canonical
+    primitive q-th root mod p; this is congruent mod p to the cyclotomic
+    norm, so norm-vanishing can be tested without leaving F_p.
+    """
+    from hyperchar.modular import subgroup_of_order
+
+    if q < 2 or not oracle_is_prime(q) or (p - 1) % q != 0:
+        raise ValueError(f"q must be a prime divisor of p-1, got q={q}, p={p}")
+    coeffs = list(coeffs)
+    if len(coeffs) != q - 1:
+        raise ValueError(f"expected {q - 1} coefficients, got {len(coeffs)}")
+    g = subgroup_of_order(p, int(q)).generator
+    out = 1
+    for i in range(1, q):
+        x = pow(g, i, p)
+        fx = 0
+        for c in reversed(coeffs):
+            fx = (fx * x + c) % p
+        out = out * fx % p
+    return out
+
+
+def reduce_cyclotomic_coeffs(coeffs, p: int) -> tuple[int, ...]:
+    """Rewrite q coefficients (exponents 0..q-1) as q-1 (exponents 0..q-2).
+
+    Subtracting the top coefficient from all q coefficients leaves every
+    conjugate evaluation unchanged, because each g^i with i in 1..q-1 is a
+    nontrivial q-th root of unity and so sums the full power run to zero.
+    """
+    coeffs = [c % p for c in coeffs]
+    top = coeffs[-1]
+    return tuple((c - top) % p for c in coeffs[:-1])
+
+
 @functools.lru_cache(maxsize=None)
 def oracle_candidate_sums(p: int, q: int):
     """Norm candidates with greedy witnesses, by walking all p-1 residue steps,
     keeping every mask and backtracking each candidate s through s of them.
     Cached: several tests check the same pairs; callers must not mutate it."""
-    from itertools import islice
-
-    from hyperchar.characteristic import residue_steps
     from hyperchar.modular import Prime, subgroup_of_order
     from hyperchar.norm_criterion import NormCandidateSet
 
     g = subgroup_of_order(p, q).generator
     powers = [pow(g, j, p) for j in range(q - 1)]
-    masks = [1, *islice(residue_steps(p, powers), p - 1)]
+    masks = [1, *itertools.islice(oracle_residue_steps(p, powers), p - 1)]
 
     sums = [s for s in range(1, p) if masks[s] & 1]
     witnesses = {}

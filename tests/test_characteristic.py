@@ -21,9 +21,11 @@ from conftest import (
     as_mask,
     oracle_continuity_threshold,
     oracle_convolution_generators,
+    oracle_is_prime,
     oracle_member_enumerate,
     oracle_members_setwalk,
     oracle_minimal_generators,
+    oracle_residue_steps,
     regenerate,
     subgroup_pairs,
 )
@@ -218,6 +220,47 @@ class TestContinuityThreshold:
                 member = [bool(mask >> s & 1) for s in range(width)]
                 assert continuity_threshold_of(mask, width - 1, p) == oracle_continuity_threshold(
                     member, p), (mask, width, p)
+
+
+# the unsorted norm powers g^0..g^(q-2) of a primitive q-th root g, q | p-1
+NORM_POWERS_300 = [
+    (p, q)
+    for q in (5, 7, 11)
+    for p in range(3, 300)
+    if oracle_is_prime(p) and (p - 1) % q == 0
+]
+
+
+def assert_steps_match_rotation(p, elements):
+    ours = islice(residue_steps(p, elements), 2 * p)
+    rotated = islice(oracle_residue_steps(p, elements), 2 * p)
+    for k, (reach, expected) in enumerate(zip(ours, rotated, strict=True), 1):
+        assert reach == expected, (p, elements, k)
+
+
+class TestResidueSteps:
+    @pytest.mark.parametrize("p,n", subgroup_pairs(199))
+    def test_subgroup_steps_match_rotation_oracle(self, p, n):
+        assert_steps_match_rotation(p, subgroup_of_order(Prime(p), n).elements)
+
+    @pytest.mark.parametrize("p,q", NORM_POWERS_300)
+    def test_norm_power_steps_match_rotation_oracle(self, p, q):
+        g = subgroup_of_order(Prime(p), q).generator
+        assert_steps_match_rotation(p, [pow(g, j, p) for j in range(q - 1)])
+
+    @pytest.mark.parametrize("p,n", [(1009, 2), (1009, 504)])
+    def test_bitset_mask_matches_per_step_assembly(self, p, n):
+        S = characteristic_bitset(Prime(p), n)
+        mask = 1
+        steps = oracle_residue_steps(p, subgroup_of_order(Prime(p), n).elements)
+        for s, reach in enumerate(islice(steps, S.bound), 1):
+            mask |= (reach & 1) << s
+        assert S.mask == mask
+
+    @pytest.mark.parametrize("elements", [[0], [7], [8], [3, 7], [-1]])
+    def test_rejects_residue_outside_one_to_p_minus_one(self, elements):
+        with pytest.raises(ValueError, match=r"\[1, 6\]"):
+            next(residue_steps(7, elements))
 
 
 class TestSaturationBound:

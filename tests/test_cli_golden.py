@@ -51,6 +51,9 @@ GOLDEN_NORM_JSON_SHA256 = {
     (953, 7): "aa833713da8e07c46dc72bccc8bee452e2e3f6605a4950db614fdffe2af05eb3",
 }
 
+# sha256 of the stdout of `table --p-max 300` (515 rows, every n | p-1 for p <= 300)
+TABLE_300_SHA256 = "bae72773dbe87eb9521b741258d22371adf5b1f3e69df766de9b95c03ad925b2"
+
 GENSET_HELP = """\
 usage: hyperchar genset [-h] --p P --n N [--route {dp,closed,norm,all}]
                         [--format {plain,csv,json}] [--timing]
@@ -80,6 +83,15 @@ def test_large_norm_json_digest(capsys, p, n):
     captured = capsys.readouterr()
     assert code == 0
     assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN_NORM_JSON_SHA256[(p, n)]
+    assert captured.err == ""
+
+
+def test_table_300_digest(capsys):
+    code = main(["table", "--p-max", "300"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert len(captured.out.splitlines()) == 515
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == TABLE_300_SHA256
     assert captured.err == ""
 
 

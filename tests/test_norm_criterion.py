@@ -10,15 +10,9 @@ from hyperchar import norm_criterion
 from hyperchar.characteristic import (CharacteristicSet, characteristic_bitset,
                                       minimal_generating_set, monoid_closure)
 from hyperchar.modular import Prime, subgroup_of_order
-from hyperchar.norm_criterion import (
-    candidate_sums,
-    fp_norm,
-    generating_set_via_norm,
-    reduce_cyclotomic_coeffs,
-    tuple_bound,
-)
+from hyperchar.norm_criterion import candidate_sums, generating_set_via_norm, tuple_bound
 
-from conftest import oracle_candidate_sums, oracle_is_prime
+from conftest import fp_norm, oracle_candidate_sums, oracle_is_prime, reduce_cyclotomic_coeffs
 
 PRIME_ORDER_PAIRS = [
     (p, q)
