@@ -139,13 +139,17 @@ def find_primitive_root(p: Prime) -> int:
     raise AssertionError(f"no primitive root found for prime {p}")
 
 
-@lru_cache(maxsize=None)
-def subgroup_of_order(p: Prime, n: int) -> UnitSubgroup:
-    """The unique order-n subgroup of (Z/pZ)^x, generated by g^((p-1)/n)."""
+def subgroup_generator(p: Prime, n: int) -> int:
+    """g^((p-1)/n) for g = find_primitive_root(p): the canonical generator of
+    the order-n subgroup, without building its elements."""
     if n < 1 or (p - 1) % n != 0:
         raise ValueError(f"no subgroup of order {n} in (Z/{p}Z)^x: {n} does not divide {p - 1}")
-    g = find_primitive_root(p)
-    h = pow(g, (p - 1) // n, p)
+    return pow(find_primitive_root(p), (p - 1) // n, p)
+
+
+def subgroup_of_order(p: Prime, n: int) -> UnitSubgroup:
+    """The unique order-n subgroup of (Z/pZ)^x, built uncached from subgroup_generator(p, n)."""
+    h = subgroup_generator(p, n)
     elements = []
     x = 1
     for _ in range(n):

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from .characteristic import (CharacteristicSet, GeneratingSet, minimal_generating_set,
                              monoid_closure, residue_steps)
-from .modular import Prime, subgroup_of_order
+from .modular import Prime, subgroup_generator
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def _norm_powers(p: Prime, q: int) -> list[int]:
     q = Prime(q)
     if (p - 1) % q != 0:
         raise ValueError(f"q = {q} does not divide p - 1 = {p - 1}")
-    g = subgroup_of_order(p, int(q)).generator
+    g = subgroup_generator(p, int(q))
     return [pow(g, j, p) for j in range(q - 1)]
 
 
@@ -98,27 +98,31 @@ def _small_order_witnesses(p: Prime, powers: list[int]) -> dict[int, tuple[int, 
     return witnesses
 
 
-def _backtrack(p: Prime, powers: list[int], masks: list[int], s: int) -> tuple[int, ...]:
-    """Greedy witness for candidate s: at each step back from s, the first
-    power g^j that leaves a residue the step before can reach.
-
-    masks[k] is the step-k mask for k = 0..k0, the last one full when k0 < s.
-    Every masks[k-1] with k > k0 is full, so the greedy takes g^0 at those
-    s - k0 steps: they are added in one jump.
+def _offset_descent(p: Prime, powers: list[int]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """BFS over residues by the offsets d_j = g^j - 1 (j = 1..q-2): dist[u] is
+    the least number of offsets summing to u mod p, and tails[u] counts each
+    offset along the first-j descent, which steps from u to the u - d_j with the
+    least j and dist(u - d_j) = dist(u) - 1. Ends once every residue has a
+    distance; d_1 != 0 generates Z/p, so that takes at most p - 1 levels.
     """
-    jump = max(s - (len(masks) - 1), 0)
-    counts = [jump] + [0] * (len(powers) - 1)
-    residue = -jump % p
-    for k in range(s - jump, 0, -1):
-        for j, g in enumerate(powers):
-            prev = (residue - g) % p
-            if (masks[k - 1] >> prev) & 1:
-                counts[j] += 1
-                residue = prev
+    offsets = [(g - 1) % p for g in powers[1:]]
+    dist = [0] + [p] * (p - 1)  # p: not reached yet
+    tails = [(0,) * len(offsets)] + [()] * (p - 1)
+    frontier, unreached, level = [0], p - 1, 0
+    while unreached:
+        level, reached = level + 1, []
+        # j outermost: a residue is first reached in this level by its least j
+        for j, d in enumerate(offsets):
+            for v in frontier:
+                u = (v + d) % p
+                if dist[u] > level:
+                    dist[u] = level
+                    tails[u] = tails[v][:j] + (tails[v][j] + 1,) + tails[v][j + 1:]
+                    reached.append(u)
+            if len(reached) == unreached:
                 break
-        else:
-            raise AssertionError(f"backtrack failed at ({p}, {len(powers) + 1}), s={s}")
-    return tuple(counts)
+        frontier, unreached = reached, unreached - len(reached)
+    return dist, tails
 
 
 def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
@@ -127,9 +131,10 @@ def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
     A sum qualifies iff residue 0 is reachable by exactly s allowed powers
     g^0..g^{q-2}. Each witness is the greedy (lexicographically largest)
     count vector. For q <= 3 the witnesses come from a formula and no DP runs.
-    For q >= 5 the walk stops at its first full mask, step k0 <=
-    ceil((p-1)/(q-2)); only masks 0..k0 are kept (still about p^2/(8(q-2))
-    bytes), and the backtrack for s > k0 jumps over its s - k0 g^0 steps.
+    For q >= 5 they come from one offset-distance table: sum a_j g^j = s +
+    sum_{j>=1} a_j d_j when the a_j sum to s, so s is a candidate iff
+    dist(-s) <= s, and the greedy takes a_0 = s - dist(-s) steps of g^0, then
+    the first-j descent from -s. Work is O(p(q-2)), the size of the output.
     Conjugating (replacing g by g^i) permutes the same subgroup, so the
     answer does not depend on which primitive root generated g.
     """
@@ -137,9 +142,9 @@ def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
     if q <= 3:
         witnesses = _small_order_witnesses(p, powers)
     else:
-        # masks[k] bit r set iff some multiset of exactly k allowed powers sums to r
-        masks = [1, *_saturating_walk(p, powers)]
-        witnesses = {s: _backtrack(p, powers, masks, s) for s in _walk_sums(p, masks[1:])}
+        dist, tails = _offset_descent(p, powers)
+        witnesses = {s: (s - dist[-s % p], *tails[-s % p])
+                     for s in range(1, p) if dist[-s % p] <= s}
     return NormCandidateSet(p=p, q=Prime(q), sums=tuple(witnesses), witnesses=witnesses)
 
 

@@ -253,18 +253,59 @@ def oracle_candidate_sums(p: int, q: int):
     masks = [1, *itertools.islice(oracle_residue_steps(p, powers), p - 1)]
 
     sums = [s for s in range(1, p) if masks[s] & 1]
-    witnesses = {}
-    for s in sums:
-        counts = [0] * (q - 1)
-        residue = 0
-        for k in range(s, 0, -1):
-            for j, power in enumerate(powers):
-                prev = (residue - power) % p
-                if (masks[k - 1] >> prev) & 1:
-                    counts[j] += 1
-                    residue = prev
-                    break
-            else:
-                raise AssertionError(f"backtrack failed at ({p}, {q}), s={s}")
-        witnesses[s] = tuple(counts)
+    witnesses = {s: oracle_backtrack(p, powers, masks, s) for s in sums}
+    return NormCandidateSet(p=Prime(p), q=Prime(q), sums=tuple(sums), witnesses=witnesses)
+
+
+def oracle_backtrack(p: int, powers, masks, s: int) -> tuple[int, ...]:
+    """Greedy witness for candidate s: at each step back from s, the first
+    power g^j that leaves a residue the step before can reach.
+
+    masks[k] is the step-k mask for k = 0..k0, the last one full when k0 < s.
+    Every masks[k-1] with k > k0 is full, so the greedy takes g^0 at those
+    s - k0 steps: they are added in one jump.
+    """
+    jump = max(s - (len(masks) - 1), 0)
+    counts = [jump] + [0] * (len(powers) - 1)
+    residue = -jump % p
+    for k in range(s - jump, 0, -1):
+        for j, power in enumerate(powers):
+            prev = (residue - power) % p
+            if (masks[k - 1] >> prev) & 1:
+                counts[j] += 1
+                residue = prev
+                break
+        else:
+            raise AssertionError(f"backtrack failed at ({p}, {len(powers) + 1}), s={s}")
+    return tuple(counts)
+
+
+def oracle_kept_mask_candidate_sums(p: int, q: int):
+    """Norm candidates with greedy witnesses, by the saturating walk
+    and a backtrack through its k0 + 1 kept masks, the last one full.
+
+    This is the shortcut that the offset-distance table replaces, and the
+    argument for why the two agree. Put d_j = g^j - 1 for j = 1..q-2 and let
+    dist(u) be the least number of offsets summing to u mod p. A multiset of k
+    powers with counts a_j sums to k + sum_{j>=1} a_j d_j, so residue r is in
+    masks[k] iff dist(r - k) <= k. Stepping back from (k, r), the greedy takes
+    g^0 iff r - 1 is in masks[k-1], that is iff dist(r - k) <= k - 1, which
+    leaves u = r - k unchanged. Otherwise dist(u) = k, and it takes the least
+    j >= 1 with r - g^j in masks[k-1], that is with dist(u - d_j) = dist(u) - 1.
+    So s is a candidate iff dist(-s) <= s, a_0 = s - dist(-s), and a_1..a_{q-2}
+    count the first-j descent from -s: each step depends on u alone.
+    """
+    from hyperchar.modular import Prime, subgroup_of_order
+    from hyperchar.norm_criterion import NormCandidateSet
+
+    g = subgroup_of_order(p, q).generator
+    powers = [pow(g, j, p) for j in range(q - 1)]
+    full = (1 << p) - 1
+    masks = [1]
+    for reach in itertools.islice(oracle_residue_steps(p, powers), p - 1):
+        masks.append(reach)
+        if reach == full:
+            break
+    sums = [s for s in range(1, p) if s >= len(masks) or masks[s] & 1]
+    witnesses = {s: oracle_backtrack(p, powers, masks, s) for s in sums}
     return NormCandidateSet(p=Prime(p), q=Prime(q), sums=tuple(sums), witnesses=witnesses)

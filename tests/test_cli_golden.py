@@ -45,10 +45,13 @@ GOLDEN_ALL = {
 }
 
 # sha256 of the stdout of `genset --route norm --format json` on larger inputs,
-# where the witnesses come from the q = 3 formula and the saturating walk
+# where the witnesses come from the q = 3 formula and, for q >= 5, from the
+# offset-distance table; pinned from the earlier kept-mask backtrack
 GOLDEN_NORM_JSON_SHA256 = {
     (1021, 3): "d6c2b1f5f112a094f20b4d38c45f5b9a3a6dbc24f34278da88ed525ca01e5e4e",
     (953, 7): "aa833713da8e07c46dc72bccc8bee452e2e3f6605a4950db614fdffe2af05eb3",
+    (1907, 953): "ac0f5d271bd1e895a6b2d0eaca3cefe94a14593554bbbd13af2fa164dd1719c2",
+    (20011, 5): "b491cbbe9ae90938f4d4342ca3d07667b46e7884e277755078ec4cd40dcbaea0",
 }
 
 # sha256 of the stdout of `table --p-max 300` (515 rows, every n | p-1 for p <= 300)

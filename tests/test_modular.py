@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from hyperchar.modular import (
     eisenstein_solutions,
     find_primitive_root,
     is_prime,
+    subgroup_generator,
     subgroup_of_order,
 )
 
@@ -97,6 +102,30 @@ class TestSubgroup:
     def test_trivial_subgroup(self):
         G = subgroup_of_order(Prime(11), 1)
         assert G.elements == (1,) and G.is_trivial
+
+    @pytest.mark.parametrize("p,n", subgroup_pairs(97))
+    def test_generator_without_the_elements(self, p, n):
+        assert subgroup_generator(Prime(p), n) == subgroup_of_order(Prime(p), n).generator
+
+    def test_generator_rejects_non_divisor_order(self):
+        with pytest.raises(ValueError):
+            subgroup_generator(Prime(7), 4)
+
+    def test_no_subgroup_outlives_a_table(self):
+        # run in a fresh interpreter, so no other test's subgroups are counted
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        code = ("import gc\n"
+                "from hyperchar.harness import table_rows\n"
+                "from hyperchar.modular import UnitSubgroup\n"
+                "assert len(table_rows(300, workers=1)) == 515\n"
+                "gc.collect()\n"
+                "print(sum(isinstance(o, UnitSubgroup) for o in gc.get_objects()))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0\n"
 
 
 class TestCornacchia:

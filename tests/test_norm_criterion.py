@@ -12,7 +12,8 @@ from hyperchar.characteristic import (CharacteristicSet, characteristic_bitset,
 from hyperchar.modular import Prime, subgroup_of_order
 from hyperchar.norm_criterion import candidate_sums, generating_set_via_norm, tuple_bound
 
-from conftest import fp_norm, oracle_candidate_sums, oracle_is_prime, reduce_cyclotomic_coeffs
+from conftest import (fp_norm, oracle_candidate_sums, oracle_is_prime,
+                      oracle_kept_mask_candidate_sums, reduce_cyclotomic_coeffs)
 
 PRIME_ORDER_PAIRS = [
     (p, q)
@@ -28,6 +29,16 @@ ALL_PRIME_ORDERS_400 = [
     if oracle_is_prime(p)
     for q in range(2, p)
     if oracle_is_prime(q) and (p - 1) % q == 0
+]
+
+# every prime q | p-1 for every prime p < 1000, except q = 3: its formula is
+# checked against the full walk above, and its kept-mask walk is O(p^2) per pair
+KEPT_MASK_PAIRS_1000 = [
+    (p, q)
+    for p in range(3, 1000)
+    if oracle_is_prime(p)
+    for q in range(2, p)
+    if q != 3 and oracle_is_prime(q) and (p - 1) % q == 0
 ]
 
 # the norm-route instances of the genset-large benchmark workload
@@ -192,16 +203,26 @@ class TestCandidateSums:
         # sums and every witness tuple, against the backtrack through all p masks
         assert candidate_sums(Prime(p), Prime(q)) == oracle_candidate_sums(p, q)
 
+    @pytest.mark.parametrize("p,q", KEPT_MASK_PAIRS_1000)
+    def test_matches_kept_mask_oracle(self, p, q):
+        # sums and every witness tuple, against the backtrack through the k0 + 1
+        # masks of the saturating walk
+        assert candidate_sums(Prime(p), Prime(q)) == oracle_kept_mask_candidate_sums(p, q)
+
 
 class TestSaturatingWalk:
     @pytest.mark.parametrize("p,q", ALL_PRIME_ORDERS_400 + BENCH_NORM_PAIRS)
     def test_stops_at_saturation(self, steps_drawn, p, q):
         # q <= 3 runs no DP; q >= 5 is full by step ceil((p-1)/(q-2)) (Cauchy-Davenport)
         limit = 0 if q <= 3 else math.ceil((p - 1) / (q - 2))
-        for route in (candidate_sums, generating_set_via_norm):
-            steps_drawn.clear()
-            route(Prime(p), Prime(q))
-            assert len(steps_drawn) <= limit, (route.__name__, p, q)
+        generating_set_via_norm(Prime(p), Prime(q))
+        assert len(steps_drawn) <= limit, (p, q)
+
+    @pytest.mark.parametrize("p,q", ALL_PRIME_ORDERS_400 + BENCH_NORM_PAIRS)
+    def test_witnesses_draw_no_mask(self, steps_drawn, p, q):
+        # candidate_sums reads the offset-distance table, never the residue walk
+        candidate_sums(Prime(p), Prime(q))
+        assert steps_drawn == [], (p, q)
 
 
 class TestGeneratingSetViaNorm:
