@@ -22,16 +22,22 @@ from .modular import Prime, UnitSubgroup, subgroup_of_order
 
 @dataclass(frozen=True)
 class CharacteristicSet:
-    """Characteristic submonoid up to `bound` (inclusive): bit s of `mask` says s is a member."""
+    """Characteristic submonoid: bit s of `mask` says s is a member, for s in
+    the window [0, bound], bound = 2p. Past 2(p-1) membership is p-periodic
+    (all s >= p-1 for nontrivial G, the multiples of p for trivial G), so the
+    window holds every answer and `s in S` is exact for every s >= 0."""
 
     p: Prime
     order: int
-    bound: int
     mask: int
 
     def __post_init__(self) -> None:
         if self.mask >> (self.bound + 1) or not self.mask & 1:
             raise ValueError("mask needs bit 0 (0 is in every submonoid) and no bits past bound")
+
+    @property
+    def bound(self) -> int:
+        return 2 * self.p
 
     @cached_property
     def member(self) -> tuple[bool, ...]:
@@ -43,7 +49,9 @@ class CharacteristicSet:
         return continuity_threshold_of(self.mask, self.bound, self.p)
 
     def __contains__(self, s: int) -> bool:
-        return 0 <= s <= self.bound and bool(self.mask >> s & 1)
+        if s > self.bound:  # the last period of the window, (p, 2p], repeats
+            s = self.bound - (self.bound - s) % self.p
+        return s >= 0 and bool(self.mask >> s & 1)
 
 
 @dataclass(frozen=True)
@@ -96,24 +104,20 @@ def residue_steps(p: int, elements: Sequence[int]) -> Iterator[int]:
         yield reach
 
 
-def characteristic_bitset(p: Prime, n: int, bound: Optional[int] = None) -> CharacteristicSet:
-    """Exact membership table of char(F_p/G) for G the order-n unit subgroup.
+def characteristic_bitset(p: Prime, n: int) -> CharacteristicSet:
+    """Exact membership table of char(F_p/G) for G the order-n unit subgroup,
+    on the window [0, 2p].
 
-    `bound` defaults to 2p and must be at least 2(p-1): past that point every
-    member s splits as (p-1) + (s-p+1) for nontrivial G (both parts members,
-    since the submonoid contains every integer >= p-1), so no minimal generator
-    lives at 2(p-1) or beyond and the extraction in minimal_generating_set is
-    sound. The trivial subgroup yields the multiples of p, handled by the same
-    bound.
+    For nontrivial G every s >= p-1 is a member, so each s >= 2(p-1) splits
+    as (p-1) + (s-p+1) into two members: no minimal generator lives at
+    2(p-1) or beyond, and the extraction in minimal_generating_set is sound.
+    The trivial subgroup yields the multiples of p, whose one generator p
+    lies in the same window.
     """
-    if bound is None:
-        bound = 2 * p
-    if bound < 2 * (p - 1):
-        raise ValueError(f"bound {bound} < 2(p-1) = {2 * (p - 1)}: generator extraction unsound")
-    steps = islice(residue_steps(p, subgroup_of_order(p, n).elements), bound)
+    steps = islice(residue_steps(p, subgroup_of_order(p, n).elements), 2 * p)
     # bit 0 of step s becomes bit s of the mask; the trailing "1" is the member 0
     bits = "".join("1" if reach & 1 else "0" for reach in steps)
-    return CharacteristicSet(p=p, order=n, bound=bound, mask=int(bits[::-1] + "1", 2))
+    return CharacteristicSet(p=p, order=n, mask=int(bits[::-1] + "1", 2))
 
 
 def _close(mask: int, c: int, bound: int) -> int:
@@ -158,8 +162,9 @@ def monoid_closure(coins: Iterable[int], bound: int) -> int:
 def minimal_generating_set(S: CharacteristicSet) -> GeneratingSet:
     """Minimal generating set of the characteristic submonoid.
 
-    Sound because S.bound >= 2(p-1) and no minimal generator reaches 2(p-1)
-    (see characteristic_bitset); for the trivial subgroup the set is {p}.
+    Sound because the window [0, 2p] of S.mask passes 2(p-1), and no minimal
+    generator reaches 2(p-1) (see characteristic_bitset); for the trivial
+    subgroup the set is {p}.
     """
     return GeneratingSet(generators=monoid_minimal_generators(S.mask))
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator
 
 from .characteristic import (CharacteristicSet, GeneratingSet, minimal_generating_set,
                              monoid_closure, residue_steps)
@@ -23,7 +22,7 @@ from .modular import Prime, subgroup_generator
 
 @dataclass(frozen=True)
 class NormCandidateSet:
-    """Candidate generator sums for (p, q), with one audit witness per sum.
+    """Candidate generator sums for (p, q), the keys of `witnesses` in order.
 
     witnesses[s] is a coefficient tuple (a_0, ..., a_{q-2}), each in
     [0, p-1], with sum s and sum a_i g^i = 0 mod p.
@@ -31,14 +30,15 @@ class NormCandidateSet:
 
     p: Prime
     q: Prime
-    sums: tuple[int, ...]
     witnesses: dict[int, tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        if list(self.sums) != sorted(set(self.sums)):
-            raise ValueError("sums must be strictly increasing")
-        if set(self.witnesses) != set(self.sums):
-            raise ValueError("every sum needs exactly one stored witness")
+        if list(self.witnesses) != sorted(self.witnesses):
+            raise ValueError("sums (the witness keys) must be increasing")
+
+    @property
+    def sums(self) -> tuple[int, ...]:
+        return tuple(self.witnesses)
 
 
 def _norm_powers(p: Prime, q: int) -> list[int]:
@@ -54,28 +54,21 @@ def _norm_powers(p: Prime, q: int) -> list[int]:
     return [pow(g, j, p) for j in range(q - 1)]
 
 
-def _saturating_walk(p: Prime, powers: list[int]) -> Iterator[int]:
-    """Residue-DP masks for s = 1, 2, ..., ending at the first full mask or at s = p-1.
+def _walk_sums(p: Prime, powers: list[int]) -> list[int]:
+    """Candidate sums from the residue-DP masks for s = 1, 2, ...: every s
+    whose mask has bit 0, the walk ending at its first full mask or at s = p-1.
 
     The q-1 powers are distinct, so by Cauchy-Davenport the s-fold sumset has
     at least min(p, s(q-2)+1) residues: for q >= 5 the walk ends by step
     ceil((p-1)/(q-2)). Full + A = full, so every s past the last mask drawn
     is a candidate.
     """
-    full = (1 << p) - 1
-    for reach in islice(residue_steps(p, powers), p - 1):
-        yield reach
-        if reach == full:
-            return
-
-
-def _walk_sums(p: Prime, masks: Iterable[int]) -> list[int]:
-    """Candidate sums of a saturating walk: every s whose mask has bit 0, then
-    every s in (last step drawn, p-1], all candidates after a full mask."""
-    sums, k = [], 0
-    for k, reach in enumerate(masks, 1):
+    full, sums, k = (1 << p) - 1, [], 0
+    for k, reach in enumerate(islice(residue_steps(p, powers), p - 1), 1):
         if reach & 1:
             sums.append(k)
+        if reach == full:
+            break
     return sums + list(range(k + 1, p))
 
 
@@ -98,31 +91,31 @@ def _small_order_witnesses(p: Prime, powers: list[int]) -> dict[int, tuple[int, 
     return witnesses
 
 
-def _offset_descent(p: Prime, powers: list[int]) -> tuple[list[int], list[tuple[int, ...]]]:
-    """BFS over residues by the offsets d_j = g^j - 1 (j = 1..q-2): dist[u] is
-    the least number of offsets summing to u mod p, and tails[u] counts each
-    offset along the first-j descent, which steps from u to the u - d_j with the
-    least j and dist(u - d_j) = dist(u) - 1. Ends once every residue has a
-    distance; d_1 != 0 generates Z/p, so that takes at most p - 1 levels.
+def _offset_descent(p: Prime, powers: list[int]) -> list[tuple[int, ...]]:
+    """BFS over residues by the offsets d_j = g^j - 1 (j = 1..q-2): the level
+    dist(u) that reaches u is the least number of offsets summing to u mod p.
+    wit[u] is the witness of s = -u mod p: a_0 = s - dist(u), negative if s is
+    no candidate, and a_j counts d_j along the first-j descent, which steps from
+    u to the u - d_j with the least j and dist(u - d_j) = dist(u) - 1. Ends once
+    every residue is reached; d_1 != 0 generates Z/p, so within p - 1 levels.
     """
     offsets = [(g - 1) % p for g in powers[1:]]
-    dist = [0] + [p] * (p - 1)  # p: not reached yet
-    tails = [(0,) * len(offsets)] + [()] * (p - 1)
+    wit = [(0,) * len(powers)] + [()] * (p - 1)  # (): not reached yet
     frontier, unreached, level = [0], p - 1, 0
     while unreached:
         level, reached = level + 1, []
         # j outermost: a residue is first reached in this level by its least j
-        for j, d in enumerate(offsets):
+        for j, d in enumerate(offsets, 1):
             for v in frontier:
                 u = (v + d) % p
-                if dist[u] > level:
-                    dist[u] = level
-                    tails[u] = tails[v][:j] + (tails[v][j] + 1,) + tails[v][j + 1:]
+                if not wit[u]:
+                    w = wit[v]
+                    wit[u] = (-u % p - level, *w[1:j], w[j] + 1, *w[j + 1:])
                     reached.append(u)
             if len(reached) == unreached:
                 break
         frontier, unreached = reached, unreached - len(reached)
-    return dist, tails
+    return wit
 
 
 def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
@@ -131,10 +124,11 @@ def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
     A sum qualifies iff residue 0 is reachable by exactly s allowed powers
     g^0..g^{q-2}. Each witness is the greedy (lexicographically largest)
     count vector. For q <= 3 the witnesses come from a formula and no DP runs.
-    For q >= 5 they come from one offset-distance table: sum a_j g^j = s +
+    For q >= 5 they come from one offset-distance BFS: sum a_j g^j = s +
     sum_{j>=1} a_j d_j when the a_j sum to s, so s is a candidate iff
     dist(-s) <= s, and the greedy takes a_0 = s - dist(-s) steps of g^0, then
-    the first-j descent from -s. Work is O(p(q-2)), the size of the output.
+    the first-j descent from -s. Work is O(p(q-2)), the size of the output,
+    and each witness is the BFS's tuple for -s, not a copy.
     Conjugating (replacing g by g^i) permutes the same subgroup, so the
     answer does not depend on which primitive root generated g.
     """
@@ -142,10 +136,9 @@ def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
     if q <= 3:
         witnesses = _small_order_witnesses(p, powers)
     else:
-        dist, tails = _offset_descent(p, powers)
-        witnesses = {s: (s - dist[-s % p], *tails[-s % p])
-                     for s in range(1, p) if dist[-s % p] <= s}
-    return NormCandidateSet(p=p, q=Prime(q), sums=tuple(witnesses), witnesses=witnesses)
+        wit = _offset_descent(p, powers)
+        witnesses = {s: w for s in range(1, p) if (w := wit[-s % p])[0] >= 0}
+    return NormCandidateSet(p=p, q=Prime(q), witnesses=witnesses)
 
 
 def generating_set_via_norm(p: Prime, q: Prime) -> GeneratingSet:
@@ -165,9 +158,9 @@ def generating_set_via_norm(p: Prime, q: Prime) -> GeneratingSet:
     if q <= 3:
         sums = list(_small_order_witnesses(p, powers))
     else:
-        sums = _walk_sums(p, _saturating_walk(p, powers))
+        sums = _walk_sums(p, powers)
     mask = monoid_closure((int(p), int(q), *sums), 2 * p)
-    return minimal_generating_set(CharacteristicSet(p=p, order=int(q), bound=2 * p, mask=mask))
+    return minimal_generating_set(CharacteristicSet(p=p, order=int(q), mask=mask))
 
 
 def tuple_bound(p: Prime, q: Prime) -> int:

@@ -254,7 +254,7 @@ def oracle_candidate_sums(p: int, q: int):
 
     sums = [s for s in range(1, p) if masks[s] & 1]
     witnesses = {s: oracle_backtrack(p, powers, masks, s) for s in sums}
-    return NormCandidateSet(p=Prime(p), q=Prime(q), sums=tuple(sums), witnesses=witnesses)
+    return NormCandidateSet(p=Prime(p), q=Prime(q), witnesses=witnesses)
 
 
 def oracle_backtrack(p: int, powers, masks, s: int) -> tuple[int, ...]:
@@ -308,4 +308,4 @@ def oracle_kept_mask_candidate_sums(p: int, q: int):
             break
     sums = [s for s in range(1, p) if s >= len(masks) or masks[s] & 1]
     witnesses = {s: oracle_backtrack(p, powers, masks, s) for s in sums}
-    return NormCandidateSet(p=Prime(p), q=Prime(q), sums=tuple(sums), witnesses=witnesses)
+    return NormCandidateSet(p=Prime(p), q=Prime(q), witnesses=witnesses)

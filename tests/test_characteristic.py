@@ -55,15 +55,13 @@ class TestMembershipTable:
 
     def test_contains_protocol(self):
         S = characteristic_bitset(Prime(7), 3)
-        assert 0 in S and 4 in S and 1 not in S and 9999 not in S
+        assert 0 in S and 4 in S and 1 not in S and 9999 in S and -1 not in S
 
-    def test_rejects_unsound_bound(self):
-        with pytest.raises(ValueError):
-            characteristic_bitset(Prime(11), 2, bound=19)
-
-    def test_custom_bound_extends_table(self):
-        S = characteristic_bitset(Prime(5), 2, bound=40)
-        assert S.bound == 40 and len(S.member) == 41
+    @pytest.mark.parametrize("p,n", subgroup_pairs(60))
+    def test_contains_is_exact_past_the_window(self, p, n):
+        # the 2p window answers `in` for every s; the oracle walks to 5p
+        S = characteristic_bitset(Prime(p), n)
+        assert [s in S for s in range(5 * p + 1)] == oracle_members_setwalk(p, n, 5 * p)
 
     def test_member_is_a_read_only_view_of_the_mask(self):
         S = characteristic_bitset(Prime(7), 3)
@@ -71,14 +69,14 @@ class TestMembershipTable:
         with pytest.raises(AttributeError):
             S.member = (True,) * (S.bound + 1)
 
-    @pytest.mark.parametrize("bound, mask", [
-        (4, 0b100001),  # a member past the bound
-        (4, 0b10010),  # 0 missing
-        (4, -1),
+    @pytest.mark.parametrize("mask", [
+        1 << 15 | 1,  # a member past the window [0, 14]
+        0b10010,  # 0 missing
+        -1,
     ])
-    def test_rejects_malformed_mask(self, bound, mask):
+    def test_rejects_malformed_mask(self, mask):
         with pytest.raises(ValueError):
-            CharacteristicSet(p=Prime(7), order=3, bound=bound, mask=mask)
+            CharacteristicSet(p=Prime(7), order=3, mask=mask)
 
 
 class TestMinimalGeneratingSet:
@@ -181,11 +179,11 @@ class TestMonoidClosure:
 
 class TestContinuityThreshold:
     @pytest.mark.parametrize(
-        "p,n,bound,expected",
-        [(5, 2, 10, 4), (7, 3, 12, 3), (3, 1, 9, None)],
+        "p,n,expected",
+        [(5, 2, 4), (7, 3, 3), (3, 1, None)],
     )
-    def test_reference_values(self, p, n, bound, expected):
-        S = characteristic_bitset(Prime(p), n, bound=bound)
+    def test_reference_values(self, p, n, expected):
+        S = characteristic_bitset(Prime(p), n)
         assert S.continuity_threshold == expected
 
     @pytest.mark.parametrize("p,n", [(p, n) for p, n in subgroup_pairs(61) if n > 1])

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,17 @@ class TestCandidateSums:
         # masks of the saturating walk
         assert candidate_sums(Prime(p), Prime(q)) == oracle_kept_mask_candidate_sums(p, q)
 
+    def test_peak_memory_near_the_result(self):
+        # one witness tuple per residue, shared by the result: at large q the
+        # peak must not hold a second copy of the witnesses
+        tracemalloc.start()
+        try:
+            cand = candidate_sums(Prime(1907), Prime(953))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cand.sums) > 0 and peak <= 1.25 * retained, (peak, retained)
+
 
 class TestSaturatingWalk:
     @pytest.mark.parametrize("p,q", ALL_PRIME_ORDERS_400 + BENCH_NORM_PAIRS)
@@ -250,7 +262,7 @@ class TestGeneratingSetViaNorm:
     def test_candidacy_matches_full_walk_oracle(self, closure_coins, p, q):
         sums = oracle_candidate_sums(p, q).sums
         expected = minimal_generating_set(CharacteristicSet(
-            p=Prime(p), order=q, bound=2 * p, mask=monoid_closure((p, q, *sums), 2 * p)))
+            p=Prime(p), order=q, mask=monoid_closure((p, q, *sums), 2 * p)))
         assert generating_set_via_norm(Prime(p), Prime(q)) == expected
         assert closure_coins == [(p, q, *sums)]
 
