@@ -5,9 +5,9 @@ Membership is decided by a reachable-residue dynamic program over big-integer
 bitmasks: bit r of the step-k mask says "some sum of exactly k subgroup elements
 is congruent to r mod p". A step shifts the mask by every element into one
 wide int and folds the wrapped bits p..2p-2 back once. Each minimal generator
-is the least member outside the closure of the smaller ones; that closing
-step (doubling shifts) also builds the norm route's monoid. All results are
-exact; no sampling, no floats.
+is the least member outside the closure of the smaller ones; the same
+closing loop (doubling shifts) closes the norm route's candidate mask. All
+results are exact; no sampling, no floats.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .modular import Prime, UnitSubgroup, subgroup_of_order
 
@@ -130,33 +130,33 @@ def _close(mask: int, c: int, bound: int) -> int:
     return mask
 
 
-def monoid_minimal_generators(mask: int) -> tuple[int, ...]:
-    """Minimal generators of the monoid that the set bits of mask generate.
+def _generate(mask: int, bound: int) -> tuple[tuple[int, ...], int]:
+    """Minimal generators, and closure on [0, bound], of the monoid that the
+    set bits of mask in [0, bound] generate.
 
     A member is a minimal generator iff the monoid of the smaller generators
     misses it, so each generator is the least bit of mask outside the closure
-    of those found so far: one _close pass per generator. For a mask not closed
-    under addition these are the generators of the monoid its bits generate.
+    of those found so far, closed in by one _close pass.
     """
     if mask < 0:
         raise ValueError(f"mask must be nonnegative, got {mask}")
-    bound = mask.bit_length() - 1
+    mask &= (1 << (bound + 1)) - 1
     generators, closure = [], 1
     while rest := mask & ~closure:
         g = (rest & -rest).bit_length() - 1
         generators.append(g)
         closure = _close(closure, g, bound)
-    return tuple(generators)
+    return tuple(generators), closure
 
 
-def monoid_closure(coins: Iterable[int], bound: int) -> int:
-    """Bitmask of the members in [0, bound] of the monoid the coins generate;
-    a coin already in it (0 included) is a sum of smaller coins and is skipped."""
-    mask = 1
-    for c in sorted(coins):
-        if not mask >> c & 1:
-            mask = _close(mask, c, bound)
-    return mask
+def monoid_minimal_generators(mask: int) -> tuple[int, ...]:
+    """Minimal generators of the monoid that the set bits of mask generate."""
+    return _generate(mask, mask.bit_length() - 1)[0]
+
+
+def monoid_closure(coins: int, bound: int) -> int:
+    """Members in [0, bound] of the monoid that the coin mask's bits generate."""
+    return _generate(coins, bound)[1]
 
 
 def minimal_generating_set(S: CharacteristicSet) -> GeneratingSet:

@@ -136,8 +136,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     for note in report.notes:
-        if "unexpected" in note:
-            print(f"note: {note}", file=sys.stderr)
+        print(f"note: {note}", file=sys.stderr)
     for route, ms in sorted(report.route_ms.items()):
         print(f"# {route}: {ms:.1f} ms total", file=sys.stderr)
     return EXIT_OK if not report.failures else EXIT_MISMATCH

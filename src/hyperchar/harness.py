@@ -162,8 +162,8 @@ def applicable_routes(n: int) -> tuple[str, ...]:
 def cross_validate(p: Prime, n: int) -> RouteComparison:
     """Run every route in ROUTES that applies to n and compare the outputs.
 
-    Disagreements are reported, never raised. A note records any appearance
-    of p itself among the generators, expected only for n in {1, 2}.
+    Disagreements are reported, never raised. A note records p itself among
+    the generators when n is not 1 or 2, the only orders that have p there.
     """
     results: dict[str, tuple[int, ...]] = {}
     timings: dict[str, float] = {}
@@ -173,12 +173,10 @@ def cross_validate(p: Prime, n: int) -> RouteComparison:
         timings[route] = (time.perf_counter() - t0) * 1000.0
     baseline = results["dp"]
     agree = all(gens == baseline for gens in results.values())
-    notes = []
-    if int(p) in baseline:
-        marker = "expected" if n in (1, 2) else "unexpected"
-        notes.append(f"p={int(p)} appears as a generator ({marker} for n={n})")
+    unexpected = int(p) in baseline and n not in (1, 2)
+    notes = (f"p={int(p)} appears as a generator (unexpected for n={n})",) if unexpected else ()
     return RouteComparison(
-        p=p, n=n, results=results, agree=agree, notes=tuple(notes), timings_ms=timings
+        p=p, n=n, results=results, agree=agree, notes=notes, timings_ms=timings
     )
 
 

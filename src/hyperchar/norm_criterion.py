@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, takewhile
 
 from .characteristic import (CharacteristicSet, GeneratingSet, minimal_generating_set,
                              monoid_closure, residue_steps)
@@ -54,22 +54,20 @@ def _norm_powers(p: Prime, q: int) -> list[int]:
     return [pow(g, j, p) for j in range(q - 1)]
 
 
-def _walk_sums(p: Prime, powers: list[int]) -> list[int]:
-    """Candidate sums from the residue-DP masks for s = 1, 2, ...: every s
-    whose mask has bit 0, the walk ending at its first full mask or at s = p-1.
+def _walk_candidates(p: Prime, powers: list[int]) -> int:
+    """Candidate mask from the residue-DP masks for s = 1, 2, ...: bit s is
+    bit 0 of the s-th mask, the walk ending at its first full mask or at s = p-1.
 
     The q-1 powers are distinct, so by Cauchy-Davenport the s-fold sumset has
     at least min(p, s(q-2)+1) residues: for q >= 5 the walk ends by step
-    ceil((p-1)/(q-2)). Full + A = full, so every s past the last mask drawn
-    is a candidate.
+    ceil((p-1)/(q-2)). Full + A = full, so past the k0 steps before the full
+    mask every s in (k0, p) is a candidate; s = 0 is none.
     """
-    full, sums, k = (1 << p) - 1, [], 0
-    for k, reach in enumerate(islice(residue_steps(p, powers), p - 1), 1):
-        if reach & 1:
-            sums.append(k)
-        if reach == full:
-            break
-    return sums + list(range(k + 1, p))
+    full = (1 << p) - 1
+    steps = takewhile(lambda reach: reach != full, islice(residue_steps(p, powers), p - 1))
+    bits = "".join("1" if reach & 1 else "0" for reach in steps)
+    k0 = len(bits)
+    return int(bits[::-1] + "0", 2) | full >> (k0 + 1) << (k0 + 1)
 
 
 def _small_order_witnesses(p: Prime, powers: list[int]) -> dict[int, tuple[int, ...]]:
@@ -83,12 +81,7 @@ def _small_order_witnesses(p: Prime, powers: list[int]) -> dict[int, tuple[int, 
     if len(powers) == 1:
         return {}
     inverse = pow(powers[1] - 1, -1, p)
-    witnesses = {}
-    for s in range(1, p):
-        a1 = -s * inverse % p
-        if a1 <= s:
-            witnesses[s] = (s - a1, a1)
-    return witnesses
+    return {s: (s - a1, a1) for s in range(1, p) if (a1 := -s * inverse % p) <= s}
 
 
 def _offset_descent(p: Prime, powers: list[int]) -> list[tuple[int, ...]]:
@@ -144,22 +137,27 @@ def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
 def generating_set_via_norm(p: Prime, q: Prime) -> GeneratingSet:
     """Minimal generating set from the norm route alone.
 
-    Closes {p, q} and the candidate sums into a bitmask on [0, 2p] and
-    extracts minimal generators as the dp route does. Every explicit generator
-    is at most p, so the 2p window sees all of their pairwise sums and the
-    extraction is sound without assuming anything about the table route.
+    Closes {p, q} and the candidate sums, passed as one coin mask, into a
+    bitmask on [0, 2p] (one _close pass per generator) and extracts minimal
+    generators as the dp route does. Every explicit generator is at most p,
+    so the 2p window sees all of their pairwise sums and the extraction is
+    sound without assuming anything about the table route.
 
-    Candidacy for q <= 3 comes from the same formula as candidate_sums; for
-    q >= 5 it is read from bit 0 of each mask of the walk, which stops at its
-    first full mask. No mask is kept and no witness is built. Audit
+    No witness is built for any q. q = 2 has no candidates. For q = 3 bit s
+    is a_1 <= s, the formula of _small_order_witnesses; for q >= 5 it is bit
+    0 of the s-th mask of the walk, which stops at its first full mask. Audit
     witnesses come from candidate_sums, which only JSON output calls.
     """
     powers = _norm_powers(p, q)
-    if q <= 3:
-        sums = list(_small_order_witnesses(p, powers))
+    if q == 2:
+        candidates = 0
+    elif q == 3:
+        inverse = pow(powers[1] - 1, -1, p)
+        bits = "".join("1" if -s * inverse % p <= s else "0" for s in range(p - 1, 0, -1))
+        candidates = int(bits + "0", 2)
     else:
-        sums = _walk_sums(p, powers)
-    mask = monoid_closure((int(p), int(q), *sums), 2 * p)
+        candidates = _walk_candidates(p, powers)
+    mask = monoid_closure(candidates | 1 << p | 1 << q, 2 * p)
     return minimal_generating_set(CharacteristicSet(p=p, order=int(q), mask=mask))
 
 

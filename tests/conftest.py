@@ -152,6 +152,12 @@ def as_mask(member: list[bool]) -> int:
     return sum(1 << s for s, flag in enumerate(member) if flag)
 
 
+def coin_mask(coins) -> int:
+    """A coin list as a bitmask, bit c for every coin c."""
+    coins = set(coins)
+    return as_mask([s in coins for s in range(max(coins, default=0) + 1)])
+
+
 def oracle_continuity_threshold(member: list[bool], p: int):
     """Start of the trailing run of members (not before 1) if it is at least p
     long, else None; by a scan down the table."""

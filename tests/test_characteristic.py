@@ -19,6 +19,7 @@ from hyperchar.modular import Prime, subgroup_of_order
 
 from conftest import (
     as_mask,
+    coin_mask,
     oracle_continuity_threshold,
     oracle_convolution_generators,
     oracle_is_prime,
@@ -135,7 +136,7 @@ class TestMinimalGeneratingSet:
             monoid_minimal_generators(-1)
 
     def test_closes_once_per_generator(self, monkeypatch):
-        mask = monoid_closure([2, 20011], 40022)
+        mask = monoid_closure(coin_mask([2, 20011]), 40022)
         original, calls = characteristic._close, []
 
         def counting(*args):
@@ -156,25 +157,28 @@ def coin_sets(draw):
 
 
 class TestMonoidClosure:
-    @given(coin_sets(), st.integers(0, 80))
+    @given(coin_sets(), st.integers(0, 80), st.lists(st.integers(1, 40), max_size=3))
     @settings(max_examples=400, deadline=None)
-    def test_matches_regenerate_oracle(self, coins, bound):
-        assert monoid_closure(coins, bound) == as_mask(regenerate(coins, bound))
+    def test_matches_regenerate_oracle(self, coins, bound, past):
+        # coins past bound reach no member of [0, bound], so they are dropped
+        coins = coins + [bound + d for d in past]
+        assert monoid_closure(coin_mask(coins), bound) == as_mask(regenerate(coins, bound))
 
     @given(coin_sets(), st.integers(0, 400))
     @settings(max_examples=300, deadline=None)
     def test_extraction_matches_oracles(self, coins, bound):
-        mask = monoid_closure(coins, bound)
+        mask = monoid_closure(coin_mask(coins), bound)
         generators = monoid_minimal_generators(mask)
         assert generators == oracle_convolution_generators(mask)
         if bound <= 120:
             member = [bool(mask >> s & 1) for s in range(bound + 1)]
             assert list(generators) == oracle_minimal_generators(member)
 
-    def test_zero_coin_adds_nothing_and_negative_coin_raises(self):
-        assert monoid_closure([3, 0], 10) == monoid_closure([3], 10) == 0b1001001001
+    def test_zero_coin_adds_nothing_and_negative_mask_raises(self):
+        expected = 0b1001001001
+        assert monoid_closure(coin_mask([3, 0]), 10) == monoid_closure(coin_mask([3]), 10) == expected
         with pytest.raises(ValueError):
-            monoid_closure([3, -1], 10)
+            monoid_closure(-8, 10)
 
 
 class TestContinuityThreshold:

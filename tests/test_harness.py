@@ -16,6 +16,7 @@ from hyperchar.harness import (
     table_rows,
     validate_fixture,
 )
+from hyperchar.characteristic import GeneratingSet
 from hyperchar.modular import Prime, is_prime
 
 from conftest import oracle_is_prime, subgroup_pairs
@@ -122,8 +123,15 @@ class TestCrossValidate:
         assert comparison.results["dp"] == (3,)
 
     def test_notes_mark_p_as_generator(self):
-        assert any("expected" in note for note in cross_validate(Prime(7), 2).notes)
+        # p is a generator for n in {1, 2} as expected, so no note
+        assert cross_validate(Prime(7), 2).notes == ()
         assert cross_validate(Prime(7), 3).notes == ()
+
+    def test_note_for_unexpected_p_generator(self, monkeypatch):
+        monkeypatch.setitem(harness.ROUTES, "dp", harness.Route(
+            lambda n: True, lambda p, n: GeneratingSet(generators=(3, 7))))
+        assert cross_validate(Prime(7), 3).notes == (
+            "p=7 appears as a generator (unexpected for n=3)",)
 
 
 class TestValidateFixture:

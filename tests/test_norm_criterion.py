@@ -13,7 +13,7 @@ from hyperchar.characteristic import (CharacteristicSet, characteristic_bitset,
 from hyperchar.modular import Prime, subgroup_of_order
 from hyperchar.norm_criterion import candidate_sums, generating_set_via_norm, tuple_bound
 
-from conftest import (fp_norm, oracle_candidate_sums, oracle_is_prime,
+from conftest import (coin_mask, fp_norm, oracle_candidate_sums, oracle_is_prime,
                       oracle_kept_mask_candidate_sums, reduce_cyclotomic_coeffs)
 
 PRIME_ORDER_PAIRS = [
@@ -68,12 +68,11 @@ def steps_drawn(monkeypatch):
 
 @pytest.fixture
 def closure_coins(monkeypatch):
-    """Coins of every monoid_closure call the norm route makes."""
+    """Coin masks of every monoid_closure call the norm route makes."""
     original = norm_criterion.monoid_closure
     coins = []
 
     def recording(given, bound):
-        given = tuple(given)
         coins.append(given)
         return original(given, bound)
 
@@ -260,11 +259,21 @@ class TestGeneratingSetViaNorm:
 
     @pytest.mark.parametrize("p,q", ALL_PRIME_ORDERS_400 + BENCH_NORM_PAIRS)
     def test_candidacy_matches_full_walk_oracle(self, closure_coins, p, q):
-        sums = oracle_candidate_sums(p, q).sums
+        coins = coin_mask((p, q, *oracle_candidate_sums(p, q).sums))
         expected = minimal_generating_set(CharacteristicSet(
-            p=Prime(p), order=q, mask=monoid_closure((p, q, *sums), 2 * p)))
+            p=Prime(p), order=q, mask=monoid_closure(coins, 2 * p)))
         assert generating_set_via_norm(Prime(p), Prime(q)) == expected
-        assert closure_coins == [(p, q, *sums)]
+        assert closure_coins == [coins]
+
+    @pytest.mark.parametrize("p,q", ALL_PRIME_ORDERS_400 + BENCH_NORM_PAIRS)
+    def test_builds_no_witness(self, monkeypatch, p, q):
+        # candidacy is read straight into the coin mask; witnesses are for JSON audits only
+        def forbidden(*args):
+            raise AssertionError("the norm route built a witness")
+
+        monkeypatch.setattr(norm_criterion, "_small_order_witnesses", forbidden)
+        monkeypatch.setattr(norm_criterion, "_offset_descent", forbidden)
+        generating_set_via_norm(Prime(p), Prime(q))
 
     @pytest.mark.parametrize("p,q", [(p, q) for p, q in PRIME_ORDER_PAIRS if p < 80])
     def test_agrees_with_dp_route(self, p, q):
