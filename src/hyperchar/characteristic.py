@@ -5,8 +5,8 @@ Membership is decided by a reachable-residue dynamic program over big-integer
 bitmasks: bit r of the step-k mask says "some sum of exactly k subgroup elements
 is congruent to r mod p". A step shifts the mask by every element into one
 wide int and folds the wrapped bits p..2p-2 back once. Each minimal generator
-is the least member outside the closure of the smaller ones; the same
-closing loop (doubling shifts) closes the norm route's candidate mask. All
+is the least member outside the closure of the smaller ones, closed in by
+doubling shifts; the norm route runs the same loop on its coin mask. All
 results are exact; no sampling, no floats.
 """
 
@@ -130,13 +130,14 @@ def _close(mask: int, c: int, bound: int) -> int:
     return mask
 
 
-def _generate(mask: int, bound: int) -> tuple[tuple[int, ...], int]:
-    """Minimal generators, and closure on [0, bound], of the monoid that the
-    set bits of mask in [0, bound] generate.
+def _generate(mask: int, bound: int) -> tuple[int, ...]:
+    """Minimal generators of the monoid that the set bits of mask in [0, bound]
+    generate.
 
     A member is a minimal generator iff the monoid of the smaller generators
     misses it, so each generator is the least bit of mask outside the closure
-    of those found so far, closed in by one _close pass.
+    of those found so far, closed in by one _close pass. Sums only grow, so
+    the closure on [0, bound] decides every bit in the window.
     """
     if mask < 0:
         raise ValueError(f"mask must be nonnegative, got {mask}")
@@ -146,17 +147,12 @@ def _generate(mask: int, bound: int) -> tuple[tuple[int, ...], int]:
         g = (rest & -rest).bit_length() - 1
         generators.append(g)
         closure = _close(closure, g, bound)
-    return tuple(generators), closure
+    return tuple(generators)
 
 
 def monoid_minimal_generators(mask: int) -> tuple[int, ...]:
     """Minimal generators of the monoid that the set bits of mask generate."""
-    return _generate(mask, mask.bit_length() - 1)[0]
-
-
-def monoid_closure(coins: int, bound: int) -> int:
-    """Members in [0, bound] of the monoid that the coin mask's bits generate."""
-    return _generate(coins, bound)[1]
+    return _generate(mask, mask.bit_length() - 1)
 
 
 def minimal_generating_set(S: CharacteristicSet) -> GeneratingSet:

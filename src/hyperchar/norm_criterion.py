@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice, takewhile
 
-from .characteristic import (CharacteristicSet, GeneratingSet, minimal_generating_set,
-                             monoid_closure, residue_steps)
+from .characteristic import GeneratingSet, _generate, residue_steps
 from .modular import Prime, subgroup_generator
 
 
@@ -137,11 +136,11 @@ def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
 def generating_set_via_norm(p: Prime, q: Prime) -> GeneratingSet:
     """Minimal generating set from the norm route alone.
 
-    Closes {p, q} and the candidate sums, passed as one coin mask, into a
-    bitmask on [0, 2p] (one _close pass per generator) and extracts minimal
-    generators as the dp route does. Every explicit generator is at most p,
-    so the 2p window sees all of their pairwise sums and the extraction is
-    sound without assuming anything about the table route.
+    The generators of the monoid spanned by p, q and the candidate sums,
+    passed as one coin mask to the closing loop (one _close pass per
+    generator). Every coin is at most p, so a coin is a generator iff the
+    closure of the smaller coins on [0, p] misses it; no member past p is
+    needed, and nothing is assumed about the table route.
 
     No witness is built for any q. q = 2 has no candidates. For q = 3 bit s
     is a_1 <= s, the formula of _small_order_witnesses; for q >= 5 it is bit
@@ -157,8 +156,7 @@ def generating_set_via_norm(p: Prime, q: Prime) -> GeneratingSet:
         candidates = int(bits + "0", 2)
     else:
         candidates = _walk_candidates(p, powers)
-    mask = monoid_closure(candidates | 1 << p | 1 << q, 2 * p)
-    return minimal_generating_set(CharacteristicSet(p=p, order=int(q), mask=mask))
+    return GeneratingSet(generators=_generate(candidates | 1 << p | 1 << q, p))
 
 
 def tuple_bound(p: Prime, q: Prime) -> int:

@@ -21,7 +21,7 @@ REPO = Path(__file__).resolve().parent.parent
     ({"kind": "table", "p_max": 40}, "characteristic.extract_shifts"),
     ({"kind": "genset",
       "calls": [["genset", "--p", "31", "--n", "5", "--route", "norm", "--format", "json"]]},
-     "characteristic.extract_shifts"),
+     "norm_criterion.closure_ms"),
     ({"kind": "genset",
       "calls": [["genset", "--p", "1000000000039", "--n", "3", "--route", "closed",
                  "--format", "plain"]]},

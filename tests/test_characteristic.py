@@ -11,7 +11,6 @@ from hyperchar.characteristic import (
     continuity_threshold_of,
     kp_representation_check,
     minimal_generating_set,
-    monoid_closure,
     monoid_minimal_generators,
     residue_steps,
 )
@@ -136,7 +135,7 @@ class TestMinimalGeneratingSet:
             monoid_minimal_generators(-1)
 
     def test_closes_once_per_generator(self, monkeypatch):
-        mask = monoid_closure(coin_mask([2, 20011]), 40022)
+        mask = as_mask(regenerate([2, 20011], 40022))
         original, calls = characteristic._close, []
 
         def counting(*args):
@@ -156,29 +155,33 @@ def coin_sets(draw):
     return coins + [a + b for a, b in pairs]
 
 
-class TestMonoidClosure:
+class TestGenerate:
+    """The closing loop on a coin mask and a window [0, bound], as the norm route runs it."""
+
     @given(coin_sets(), st.integers(0, 80), st.lists(st.integers(1, 40), max_size=3))
     @settings(max_examples=400, deadline=None)
-    def test_matches_regenerate_oracle(self, coins, bound, past):
+    def test_generators_regenerate_the_coins_monoid(self, coins, bound, past):
         # coins past bound reach no member of [0, bound], so they are dropped
-        coins = coins + [bound + d for d in past]
-        assert monoid_closure(coin_mask(coins), bound) == as_mask(regenerate(coins, bound))
+        generators = characteristic._generate(coin_mask(coins + [bound + d for d in past]), bound)
+        assert max(generators, default=0) <= bound
+        assert generators == characteristic._generate(coin_mask(coins), bound)
+        assert regenerate(generators, bound) == regenerate(coins, bound)
 
     @given(coin_sets(), st.integers(0, 400))
     @settings(max_examples=300, deadline=None)
-    def test_extraction_matches_oracles(self, coins, bound):
-        mask = monoid_closure(coin_mask(coins), bound)
-        generators = monoid_minimal_generators(mask)
-        assert generators == oracle_convolution_generators(mask)
+    def test_matches_extraction_oracles(self, coins, bound):
+        member = regenerate(coins, bound)
+        mask = as_mask(member)
+        generators = characteristic._generate(coin_mask(coins), bound)
+        assert generators == monoid_minimal_generators(mask) == oracle_convolution_generators(mask)
         if bound <= 120:
-            member = [bool(mask >> s & 1) for s in range(bound + 1)]
             assert list(generators) == oracle_minimal_generators(member)
 
     def test_zero_coin_adds_nothing_and_negative_mask_raises(self):
-        expected = 0b1001001001
-        assert monoid_closure(coin_mask([3, 0]), 10) == monoid_closure(coin_mask([3]), 10) == expected
+        generate = characteristic._generate
+        assert generate(coin_mask([3, 0]), 10) == generate(coin_mask([3]), 10) == (3,)
         with pytest.raises(ValueError):
-            monoid_closure(-8, 10)
+            generate(-8, 10)
 
 
 class TestContinuityThreshold:

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperchar import norm_criterion
-from hyperchar.characteristic import (CharacteristicSet, characteristic_bitset,
-                                      minimal_generating_set, monoid_closure)
+from hyperchar import characteristic, norm_criterion
+from hyperchar.characteristic import characteristic_bitset, minimal_generating_set
 from hyperchar.modular import Prime, subgroup_of_order
 from hyperchar.norm_criterion import candidate_sums, generating_set_via_norm, tuple_bound
 
-from conftest import (coin_mask, fp_norm, oracle_candidate_sums, oracle_is_prime,
-                      oracle_kept_mask_candidate_sums, reduce_cyclotomic_coeffs)
+from conftest import (as_mask, coin_mask, fp_norm, oracle_candidate_sums,
+                      oracle_convolution_generators, oracle_is_prime,
+                      oracle_kept_mask_candidate_sums, reduce_cyclotomic_coeffs, regenerate)
 
 PRIME_ORDER_PAIRS = [
     (p, q)
@@ -68,15 +68,15 @@ def steps_drawn(monkeypatch):
 
 @pytest.fixture
 def closure_coins(monkeypatch):
-    """Coin masks of every monoid_closure call the norm route makes."""
-    original = norm_criterion.monoid_closure
+    """Coin masks the norm route hands to the closing loop, one per call."""
+    original = norm_criterion._generate
     coins = []
 
     def recording(given, bound):
         coins.append(given)
         return original(given, bound)
 
-    monkeypatch.setattr(norm_criterion, "monoid_closure", recording)
+    monkeypatch.setattr(norm_criterion, "_generate", recording)
     return coins
 
 
@@ -259,11 +259,22 @@ class TestGeneratingSetViaNorm:
 
     @pytest.mark.parametrize("p,q", ALL_PRIME_ORDERS_400 + BENCH_NORM_PAIRS)
     def test_candidacy_matches_full_walk_oracle(self, closure_coins, p, q):
-        coins = coin_mask((p, q, *oracle_candidate_sums(p, q).sums))
-        expected = minimal_generating_set(CharacteristicSet(
-            p=Prime(p), order=q, mask=monoid_closure(coins, 2 * p)))
-        assert generating_set_via_norm(Prime(p), Prime(q)) == expected
-        assert closure_coins == [coins]
+        coins = (p, q, *oracle_candidate_sums(p, q).sums)
+        expected = oracle_convolution_generators(as_mask(regenerate(coins, 2 * p)))
+        assert generating_set_via_norm(Prime(p), Prime(q)).generators == expected
+        assert closure_coins == [coin_mask(coins)]
+
+    @pytest.mark.parametrize("p,q", ALL_PRIME_ORDERS_400 + BENCH_NORM_PAIRS)
+    def test_closes_once_per_generator(self, monkeypatch, p, q):
+        original, calls = characteristic._close, []
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(characteristic, "_close", counting)
+        generators = generating_set_via_norm(Prime(p), Prime(q)).generators
+        assert tuple(calls) == generators
 
     @pytest.mark.parametrize("p,q", ALL_PRIME_ORDERS_400 + BENCH_NORM_PAIRS)
     def test_builds_no_witness(self, monkeypatch, p, q):
