@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -27,7 +28,6 @@ from .harness import (
     shipped_fixture_path,
     table_rows,
     validate_fixture,
-    worker_count,
 )
 from .modular import MAX_INPUT, Prime
 
@@ -41,6 +41,15 @@ EXIT_IO = 4
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _worker_count() -> int:
+    """Worker processes for `table` and `verify`: HYPERCHAR_THREADS, else 1."""
+    raw = os.environ.get("HYPERCHAR_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"HYPERCHAR_THREADS must be an integer, got {raw!r}") from None
 
 
 def _record(fmt: str, row: FixtureRow, route: str = "dp", label: str = "", **extra) -> str:
@@ -99,7 +108,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.p_max < 2:
         return _fail(EXIT_BAD_ARGS, f"--p-max must be at least 2, got {args.p_max}")
     try:
-        workers = worker_count()
+        workers = _worker_count()
     except ValueError as exc:
         return _fail(EXIT_BAD_ARGS, str(exc))
     payload = "".join(_record(args.format, row) + "\n" for row in table_rows(args.p_max, workers))
@@ -125,7 +134,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not rows:
         print("warning: fixture is empty, nothing to verify", file=sys.stderr)
     try:
-        workers = worker_count()
+        workers = _worker_count()
     except ValueError as exc:
         return _fail(EXIT_BAD_ARGS, str(exc))
     report = validate_fixture(rows, workers)

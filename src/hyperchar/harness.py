@@ -190,17 +190,6 @@ def _table_row(item: tuple[int, int]) -> FixtureRow:
     return FixtureRow(p=prime, order=n, generators=ROUTES["dp"].run(prime, n).generators)
 
 
-def worker_count(requested: Optional[int] = None) -> int:
-    """Effective worker cap: explicit argument, else HYPERCHAR_THREADS, else 1."""
-    if requested is None:
-        raw = os.environ.get("HYPERCHAR_THREADS", "1")
-        try:
-            requested = int(raw)
-        except ValueError:
-            raise ValueError(f"HYPERCHAR_THREADS must be an integer, got {raw!r}")
-    return max(1, requested)
-
-
 def _map_items(fn, items, workers: int):
     # the fork start method launches every worker up front, so never ask for
     # more than there are CPUs or items
@@ -212,11 +201,12 @@ def _map_items(fn, items, workers: int):
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
-def validate_fixture(rows: list[FixtureRow], workers: Optional[int] = None) -> ValidationReport:
+def validate_fixture(rows: list[FixtureRow], workers: int = 1) -> ValidationReport:
     """Cross-validate every fixture row; a row passes only if all applicable
-    routes agree with each other and with the fixture's generators."""
+    routes agree with each other and with the fixture's generators. Rows run
+    in `workers` processes; 1 or less runs them in this one."""
     rows = sorted(rows, key=lambda row: (row.p, row.order, row.generators))
-    comparisons = _map_items(_validate_row, rows, worker_count(workers))
+    comparisons = _map_items(_validate_row, rows, workers)
 
     failures: list[tuple[FixtureRow, GeneratingSet, str]] = []
     notes: list[str] = []
@@ -234,14 +224,14 @@ def validate_fixture(rows: list[FixtureRow], workers: Optional[int] = None) -> V
                             notes=tuple(notes), route_ms=route_ms)
 
 
-def table_rows(p_max: int, workers: Optional[int] = None) -> list[FixtureRow]:
+def table_rows(p_max: int, workers: int = 1) -> list[FixtureRow]:
     """DP-route generating sets for every prime p <= p_max and every n | p-1,
-    sorted by (p, n)."""
+    sorted by (p, n), computed in `workers` processes as for validate_fixture."""
     if p_max < 2:
         raise ValueError(f"p_max must be at least 2, got {p_max}")
     items = [(p, n) for p in range(2, p_max + 1) if is_prime(p)
              for n in range(1, p) if (p - 1) % n == 0]
-    return _map_items(_table_row, items, worker_count(workers))
+    return _map_items(_table_row, items, workers)
 
 
 def find_witness(n: int) -> Optional[ConjectureWitness]:

@@ -26,7 +26,8 @@ REPO = Path(__file__).resolve().parent.parent
       "calls": [["genset", "--p", "1000000000039", "--n", "3", "--route", "closed",
                  "--format", "plain"]]},
      "modular.quadform_ms"),
-], ids=["table", "genset-norm-json", "genset-closed"])
+    ({"kind": "verify"}, "harness.route_ms.norm"),
+], ids=["table", "genset-norm-json", "genset-closed", "verify"])
 def test_traced_pass_reports_layers(spec, layer):
     spec = dict(spec, src=str(REPO / "src"), traced=True)
     done = subprocess.run([sys.executable, str(REPO / "bench" / "child.py"), json.dumps(spec)],
@@ -37,6 +38,8 @@ def test_traced_pass_reports_layers(spec, layer):
     assert result["layers"][layer] > 0
     if spec["kind"] == "table":
         assert [7, 3, [3, 4, 5]] in result["output"]
+    elif spec["kind"] == "verify":
+        assert result["output"] == {"total": 354, "passed": 354}
     elif "closed" in spec["calls"][0]:
         assert result["output"] == [[0, "{3, 1549316, 1869973}\n"]]
     else:

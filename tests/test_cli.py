@@ -330,10 +330,12 @@ class TestProcessLevel:
 
     def test_bad_threads_env_is_bad_args(self):
         env = dict(os.environ, HYPERCHAR_THREADS="lots")
-        proc = subprocess.run(
-            [sys.executable, "-m", "hyperchar", "table", "--p-max", "5"],
-            capture_output=True,
-            env=env,
-            text=True,
-        )
-        assert proc.returncode == 2 and "HYPERCHAR_THREADS" in proc.stderr
+        for argv in (["table", "--p-max", "5"], ["verify"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hyperchar", *argv],
+                capture_output=True,
+                env=env,
+                text=True,
+            )
+            assert proc.returncode == 2 and proc.stdout == "", argv
+            assert "HYPERCHAR_THREADS must be an integer, got 'lots'" in proc.stderr

@@ -11,6 +11,7 @@ import hashlib
 import pytest
 
 from hyperchar.cli import main
+from hyperchar.harness import shipped_fixture_path
 
 WITNESS_7_3 = '"witnesses": {"4": [1, 3], "5": [3, 2], "6": [5, 1]}'
 WITNESS_11_5 = (
@@ -95,6 +96,16 @@ def test_table_300_digest(capsys):
     assert code == 0
     assert len(captured.out.splitlines()) == 515
     assert hashlib.sha256(captured.out.encode()).hexdigest() == TABLE_300_SHA256
+    assert captured.err == ""
+
+
+def test_table_199_is_the_shipped_fixture(capsys):
+    code = main(["table", "--p-max", "199"])
+    captured = capsys.readouterr()
+    with open(shipped_fixture_path(), encoding="utf-8") as fh:
+        shipped = "".join(line for line in fh if not line.startswith("#"))
+    assert code == 0
+    assert captured.out == shipped
     assert captured.err == ""
 
 

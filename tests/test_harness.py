@@ -104,7 +104,27 @@ class TestShippedFixtures:
         assert {r.order for r in small} == {1, 2, 3, 4}
 
 
+# Forty primes drawn once from [2000, 6000] (random.Random(2018).sample) and
+# kept as literals, so a failure replays exactly.
+LARGE_PRIMES = (
+    2087, 2111, 2131, 2153, 2267, 2311, 2467, 2521, 2677, 2767, 2797, 2897, 2939, 3221,
+    3331, 3373, 3643, 3767, 3779, 3853, 3881, 3931, 4091, 4177, 4211, 4217, 4259, 4451,
+    4517, 4547, 4567, 4637, 4657, 4663, 4801, 4861, 5153, 5233, 5273, 5657,
+)
+# order 4 and every prime order up to 37 that divides p - 1; orders 2 and 3
+# run the closed route too
+LARGE_CASES = [(p, n) for p in LARGE_PRIMES for n in range(2, 38)
+               if (p - 1) % n == 0 and (n == 4 or is_prime(n))]
+
+
 class TestCrossValidate:
+    @pytest.mark.parametrize("p,n", LARGE_CASES)
+    def test_routes_agree_past_the_fixture(self, p, n):
+        # closed against dp for n <= 4, norm against dp for prime n, at p
+        # beyond the fixture and the brute-force oracles
+        comparison = cross_validate(Prime(p), n)
+        assert comparison.agree, comparison.results
+
     def test_example_13_4(self):
         comparison = cross_validate(Prime(13), 4)
         assert comparison.agree
@@ -216,6 +236,17 @@ class TestWorkerCap:
         out = harness._map_items(abs, list(range(-items, 0)), requested)
         assert out == list(range(items, 0, -1))
         assert pools == expected
+
+    def test_library_ignores_threads_env(self, pools, monkeypatch):
+        # HYPERCHAR_THREADS is read by the CLI; library callers pass workers=
+        monkeypatch.setenv("HYPERCHAR_THREADS", "2")
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        rows = table_rows(13)
+        assert validate_fixture(rows).passed == len(rows)
+        assert pools == []
+        assert table_rows(13, workers=2) == rows
+        assert validate_fixture(rows, workers=2).passed == len(rows)
+        assert pools == [2, 2]
 
 
 class TestTableRows:
