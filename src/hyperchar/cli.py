@@ -1,8 +1,9 @@
 """Command-line surface: generating sets, table regeneration, fixture
-verification, and the conjecture scan.
+verification, the conjecture scan, and the hyperfield axiom audit.
 
-Exit codes: 0 success, 1 result mismatch or conjecture failure, 2 invalid
-arguments, 3 route not applicable to the requested order, 4 I/O failure.
+Exit codes: 0 success, 1 result mismatch, conjecture failure or failed
+audit, 2 invalid arguments, 3 route not applicable to the requested order,
+4 I/O failure.
 Data streams are byte-deterministic: stdout never carries timing; timing
 goes to stderr, or into an explicit elapsed_ms field for JSON when --timing
 is set.
@@ -25,10 +26,12 @@ from .harness import (
     braced,
     conjecture_scan,
     load_fixtures,
+    prime_orders,
     shipped_fixture_path,
     table_rows,
     validate_fixture,
 )
+from .hyperfield import QuotientHyperfield, check_axioms
 from .modular import MAX_INPUT, Prime
 
 EXIT_OK = 0
@@ -166,6 +169,22 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def cmd_audit(args: argparse.Namespace) -> int:
+    if args.p_max < 2:
+        return _fail(EXIT_BAD_ARGS, f"--p-max must be at least 2, got {args.p_max}")
+    failures = 0
+    for p, n in prime_orders(args.p_max):
+        H = QuotientHyperfield(p, n)
+        report = check_axioms(H)
+        verdict = "ok" if report.all_ok else "FAIL"
+        print(f"p={p:>3} n={n:>3} classes={len(H.classes):>3} {verdict}")
+        failures += not report.all_ok
+        for axiom, witness in report.counterexamples:
+            print(f"      {axiom}: {witness}")
+    print(f"{failures} quotients FAILED" if failures else "all quotients passed")
+    return EXIT_MISMATCH if failures else EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperchar",
@@ -194,6 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj = sub.add_parser("conjecture", help="scan odd n for Gaussian-prime witnesses")
     p_conj.add_argument("--n-max", type=int, required=True)
     p_conj.set_defaults(func=cmd_conjecture)
+
+    p_audit = sub.add_parser("audit", help="check the hyperfield axioms on every F_p/G")
+    p_audit.add_argument("--p-max", type=int, required=True)
+    p_audit.set_defaults(func=cmd_audit)
 
     return parser
 

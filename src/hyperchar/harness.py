@@ -229,9 +229,13 @@ def table_rows(p_max: int, workers: int = 1) -> list[FixtureRow]:
     sorted by (p, n), computed in `workers` processes as for validate_fixture."""
     if p_max < 2:
         raise ValueError(f"p_max must be at least 2, got {p_max}")
-    items = [(p, n) for p in range(2, p_max + 1) if is_prime(p)
-             for n in range(1, p) if (p - 1) % n == 0]
-    return _map_items(_table_row, items, workers)
+    return _map_items(_table_row, prime_orders(p_max), workers)
+
+
+def prime_orders(p_max: int) -> list[tuple[int, int]]:
+    """Every (p, n) with p <= p_max prime and n | p-1, in (p, n) order."""
+    return [(p, n) for p in range(2, p_max + 1) if is_prime(p)
+            for n in range(1, p) if (p - 1) % n == 0]
 
 
 def find_witness(n: int) -> Optional[ConjectureWitness]:

@@ -90,23 +90,33 @@ def _offset_descent(p: Prime, powers: list[int]) -> list[tuple[int, ...]]:
     no candidate, and a_j counts d_j along the first-j descent, which steps from
     u to the u - d_j with the least j and dist(u - d_j) = dist(u) - 1. Ends once
     every residue is reached; d_1 != 0 generates Z/p, so within p - 1 levels.
+
+    Each level is an int bitmask, like the residue walk: the residues first
+    reached by d_j are the frontier rotated by d_j, less every residue reached
+    so far. j runs in order, so each residue takes its least j. The work is
+    levels x (q-2) mask steps plus one tuple per residue.
     """
     offsets = [(g - 1) % p for g in powers[1:]]
-    wit = [(0,) * len(powers)] + [()] * (p - 1)  # (): not reached yet
-    frontier, unreached, level = [0], p - 1, 0
-    while unreached:
-        level, reached = level + 1, []
-        # j outermost: a residue is first reached in this level by its least j
+    wit = [(0,) * len(powers)] + [()] * (p - 1)
+    frontier, unseen, level = 1, (1 << p) - 2, 0
+    while unseen:
+        level, reached = level + 1, 0
         for j, d in enumerate(offsets, 1):
-            for v in frontier:
-                u = (v + d) % p
-                if not wit[u]:
-                    w = wit[v]
-                    wit[u] = (-u % p - level, *w[1:j], w[j] + 1, *w[j + 1:])
-                    reached.append(u)
-            if len(reached) == unreached:
-                break
-        frontier, unreached = reached, unreached - len(reached)
+            new = (frontier << d | frontier >> (p - d)) & unseen
+            if not new:
+                continue
+            unseen ^= new
+            reached |= new
+            bits = format(new, "b")  # bit u of new is bits[top - u]
+            top = len(bits) - 1
+            i = bits.find("1")
+            while i >= 0:
+                u = top - i
+                w = list(wit[u - d])  # u - d < 0 indexes u - d + p
+                w[0], w[j] = p - u - level, w[j] + 1  # s = -u mod p = p - u
+                wit[u] = tuple(w)
+                i = bits.find("1", i + 1)
+        frontier = reached
     return wit
 
 
@@ -119,8 +129,9 @@ def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
     For q >= 5 they come from one offset-distance BFS: sum a_j g^j = s +
     sum_{j>=1} a_j d_j when the a_j sum to s, so s is a candidate iff
     dist(-s) <= s, and the greedy takes a_0 = s - dist(-s) steps of g^0, then
-    the first-j descent from -s. Work is O(p(q-2)), the size of the output,
-    and each witness is the BFS's tuple for -s, not a copy.
+    the first-j descent from -s. The BFS takes levels x (q-2) bitmask steps
+    plus one tuple per residue, and each witness is the BFS's tuple for -s,
+    not a copy.
     Conjugating (replacing g by g^i) permutes the same subgroup, so the
     answer does not depend on which primitive root generated g.
     """

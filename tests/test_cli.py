@@ -1,13 +1,21 @@
+import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from hyperchar.cli import main
+from hyperchar import cli
+from hyperchar.cli import build_parser, main
 from hyperchar.harness import load_fixtures, parse_fixture_line, shipped_fixture_path
+from hyperchar.hyperfield import check_axioms
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 # exact stdout of `table --p-max 13`, in both formats
@@ -55,6 +63,45 @@ TABLE_13_JSONL = """\
 {"generators": [2, 3], "n": 6, "p": 13, "route": "dp"}
 {"generators": [2, 3], "n": 12, "p": 13, "route": "dp"}
 """
+
+# exact stdout of `audit --p-max 13`
+AUDIT_P_MAX_13 = """\
+p=  2 n=  1 classes=  2 ok
+p=  3 n=  1 classes=  3 ok
+p=  3 n=  2 classes=  2 ok
+p=  5 n=  1 classes=  5 ok
+p=  5 n=  2 classes=  3 ok
+p=  5 n=  4 classes=  2 ok
+p=  7 n=  1 classes=  7 ok
+p=  7 n=  2 classes=  4 ok
+p=  7 n=  3 classes=  3 ok
+p=  7 n=  6 classes=  2 ok
+p= 11 n=  1 classes= 11 ok
+p= 11 n=  2 classes=  6 ok
+p= 11 n=  5 classes=  3 ok
+p= 11 n= 10 classes=  2 ok
+p= 13 n=  1 classes= 13 ok
+p= 13 n=  2 classes=  7 ok
+p= 13 n=  3 classes=  5 ok
+p= 13 n=  4 classes=  4 ok
+p= 13 n=  6 classes=  3 ok
+p= 13 n= 12 classes=  2 ok
+all quotients passed
+"""
+
+
+def readme_commands():
+    """(argv, comment) for every line of a README code block that starts with
+    `hyperchar `: the command ends at the first | or #, and comment is the
+    text after a # that ends it."""
+    commands, fenced = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("hyperchar "):
+            command, comment = re.match(r"([^|#]*)(?:#(.*))?", line).groups()
+            commands.append((shlex.split(command)[1:], (comment or "").strip()))
+    return commands
 
 
 def run_cli(capsys, *argv):
@@ -275,6 +322,62 @@ class TestConjectureCmd:
     def test_even_n_max_rejected(self, capsys):
         code, _, err = run_cli(capsys, "conjecture", "--n-max", "4")
         assert code == 2 and "odd" in err
+
+
+class TestAudit:
+    def test_exact_stdout(self, capsys):
+        code, out, _ = run_cli(capsys, "audit", "--p-max", "13")
+        assert code == 0
+        assert out == AUDIT_P_MAX_13
+
+    def test_failed_quotient(self, capsys, monkeypatch):
+        def one_failure(H):
+            report = check_axioms(H)
+            if (H.p, H.subgroup.order) != (5, 2):
+                return report
+            return dataclasses.replace(report, associativity_ok=False,
+                                       counterexamples=[("associativity", (1, 2, 2))])
+
+        monkeypatch.setattr(cli, "check_axioms", one_failure)
+        code, out, _ = run_cli(capsys, "audit", "--p-max", "5")
+        assert code == 1
+        assert out == (
+            "p=  2 n=  1 classes=  2 ok\n"
+            "p=  3 n=  1 classes=  3 ok\n"
+            "p=  3 n=  2 classes=  2 ok\n"
+            "p=  5 n=  1 classes=  5 ok\n"
+            "p=  5 n=  2 classes=  3 FAIL\n"
+            "      associativity: (1, 2, 2)\n"
+            "p=  5 n=  4 classes=  2 ok\n"
+            "1 quotients FAILED\n"
+        )
+
+    def test_bad_p_max(self, capsys):
+        code, out, err = run_cli(capsys, "audit", "--p-max", "1")
+        assert code == 2 and out == ""
+        assert "error: --p-max must be at least 2, got 1" in err
+
+
+class TestReadme:
+    COMMANDS = readme_commands()
+
+    def test_every_command_parses(self):
+        parser = build_parser()
+        assert {argv[0] for argv, _ in self.COMMANDS} == {
+            "genset", "table", "verify", "conjecture", "audit"}
+        for argv, _ in self.COMMANDS:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: hyperchar {shlex.join(argv)}")
+
+    def test_genset_examples_print_their_sets(self, capsys):
+        examples = [(argv, comment) for argv, comment in self.COMMANDS
+                    if argv[0] == "genset" and comment.startswith("{")]
+        assert examples
+        for argv, comment in examples:
+            code, out, _ = run_cli(capsys, *argv)
+            assert (code, out) == (0, comment + "\n"), argv
 
 
 class TestProcessLevel:
