@@ -8,7 +8,7 @@ cross-validates all of them against the shipped reference tables.
 
 from .characteristic import (
     CharacteristicSet,
-    GeneratingSet,
+    FixtureRow,
     characteristic_bitset,
     continuity_threshold_of,
     kp_representation_check,
@@ -20,7 +20,6 @@ from .harness import (
     ConjectureReport,
     ConjectureWitness,
     FixtureParseError,
-    FixtureRow,
     RouteComparison,
     ValidationReport,
     conjecture_scan,
@@ -60,7 +59,6 @@ __all__ = [
     "EisensteinPair",
     "FixtureParseError",
     "FixtureRow",
-    "GeneratingSet",
     "NormCandidateSet",
     "Prime",
     "QuotientHyperfield",

@@ -6,8 +6,10 @@ bitmasks: bit r of the step-k mask says "some sum of exactly k subgroup elements
 is congruent to r mod p". A step shifts the mask by every element into one
 wide int and folds the wrapped bits p..2p-2 back once. Each minimal generator
 is the least member outside the closure of the smaller ones, closed in by
-doubling shifts; the norm route runs the same loop on its coin mask. All
-results are exact; no sampling, no floats.
+doubling shifts; the norm route runs the same loop on its coin mask. Every
+route returns its answer as one FixtureRow (p, n, minimal generators), the
+row that fixtures and the CLI carry. All results are exact; no sampling, no
+floats.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .modular import Prime, UnitSubgroup, subgroup_of_order
 
@@ -54,17 +56,30 @@ class CharacteristicSet:
         return s >= 0 and bool(self.mask >> s & 1)
 
 
-@dataclass(frozen=True)
-class GeneratingSet:
-    """Minimal generating set of a numerical submonoid, sorted ascending."""
+def braced(generators: Iterable[int], sep: str = " ") -> str:
+    """The `{g1 g2 ...}` text of a generator list, as fixtures and the CLI print it."""
+    return "{" + sep.join(map(str, generators)) + "}"
 
+
+@dataclass(frozen=True)
+class FixtureRow:
+    """One (p, n, minimal generators) row: what every route returns, and what
+    fixtures, `table` and `verify` carry. Generators are sorted ascending."""
+
+    p: Prime
+    order: int
     generators: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.order < 1 or (self.p - 1) % self.order != 0:
+            raise ValueError(f"order {self.order} does not divide {self.p} - 1")
         if list(self.generators) != sorted(set(self.generators)):
             raise ValueError("generators must be strictly increasing")
         if any(g < 1 for g in self.generators):
             raise ValueError("generators must be positive")
+
+    def as_line(self) -> str:
+        return f"{int(self.p)},{self.order},{braced(self.generators)}"
 
 
 def continuity_threshold_of(mask: int, bound: int, p: int) -> Optional[int]:
@@ -155,14 +170,14 @@ def monoid_minimal_generators(mask: int) -> tuple[int, ...]:
     return _generate(mask, mask.bit_length() - 1)
 
 
-def minimal_generating_set(S: CharacteristicSet) -> GeneratingSet:
-    """Minimal generating set of the characteristic submonoid.
+def minimal_generating_set(S: CharacteristicSet) -> FixtureRow:
+    """The row (p, n, minimal generators) of the characteristic submonoid.
 
     Sound because the window [0, 2p] of S.mask passes 2(p-1), and no minimal
     generator reaches 2(p-1) (see characteristic_bitset); for the trivial
     subgroup the set is {p}.
     """
-    return GeneratingSet(generators=monoid_minimal_generators(S.mask))
+    return FixtureRow(S.p, S.order, monoid_minimal_generators(S.mask))
 
 
 def _min_summands_table(G: UnitSubgroup, cap: int) -> list[int]:

@@ -91,17 +91,17 @@ def cmd_genset(args: argparse.Namespace) -> int:
         route = ROUTES[name]
         extra = {}
         t0 = time.perf_counter()
-        gens = route.run(p, n).generators
+        row = route.run(p, n)
         if route.witnesses and args.format == "json":
             extra["witnesses"] = {str(s): c for s, c in route.witnesses(p, n).items()}
         elapsed = (time.perf_counter() - t0) * 1000.0
         if args.timing and args.format == "json":
             extra["elapsed_ms"] = round(elapsed, 3)
         label = f"{name} " if args.route == "all" else ""
-        print(_record(args.format, FixtureRow(p, n, gens), name, label, **extra))
+        print(_record(args.format, row, name, label, **extra))
         if args.timing:
             print(f"# {name}: {elapsed:.3f} ms", file=sys.stderr)
-        distinct.add(gens)
+        distinct.add(row.generators)
     if len(distinct) > 1:
         return _fail(EXIT_MISMATCH, f"routes disagree for p={int(p)}, n={n}: {sorted(distinct)}")
     return EXIT_OK

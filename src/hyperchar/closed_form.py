@@ -7,7 +7,7 @@ closed form here and are rejected so callers can fall back to another route.
 
 from __future__ import annotations
 
-from .characteristic import GeneratingSet
+from .characteristic import FixtureRow
 from .modular import Prime, cornacchia_two_squares, eisenstein_solutions
 
 
@@ -15,8 +15,8 @@ class ClosedFormUnavailable(ValueError):
     """Raised when no closed-form branch exists for the requested order."""
 
 
-def gen_set_closed_form(p: Prime, n: int) -> GeneratingSet:
-    """Minimal generating set of char(F_p/G) by formula, |G| = n in 1..4.
+def gen_set_closed_form(p: Prime, n: int) -> FixtureRow:
+    """The row (p, n, minimal generators) of char(F_p/G) by formula, |G| = n in 1..4.
 
     Order 1 gives {p}; order 2 gives {2, p}; order 3 gives {3, a+b, 2a-b}
     from a^2 - ab + b^2 = p with a > b > 0; order 4 gives {2, a+b} from
@@ -29,14 +29,14 @@ def gen_set_closed_form(p: Prime, n: int) -> GeneratingSet:
     if n < 1 or (p - 1) % n != 0:
         raise ValueError(f"no subgroup of order {n} in (Z/{p}Z)^x")
     if n == 1:
-        return GeneratingSet(generators=(int(p),))
+        return FixtureRow(p, n, (int(p),))
     if n == 2:
-        return GeneratingSet(generators=tuple(sorted({2, int(p)})))
+        return FixtureRow(p, n, tuple(sorted({2, int(p)})))
     if n == 3:
         sol, _ = eisenstein_solutions(p)
         a, b = sol.a, sol.b
-        return GeneratingSet(generators=tuple(sorted({3, a + b, 2 * a - b})))
+        return FixtureRow(p, n, tuple(sorted({3, a + b, 2 * a - b})))
     if n == 4:
         sq = cornacchia_two_squares(p)
-        return GeneratingSet(generators=tuple(sorted({2, sq.a + sq.b})))
+        return FixtureRow(p, n, tuple(sorted({2, sq.a + sq.b})))
     raise ClosedFormUnavailable(f"no closed form for subgroup order {n}")

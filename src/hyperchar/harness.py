@@ -1,13 +1,14 @@
 """Fixture-driven verification and the Gaussian-witness conjecture scan.
 
 The shipped fixtures are the single transcription point for reference data;
-nothing else in the package hardcodes table rows. Row validation compares
-every applicable route (membership DP, closed form, norm criterion) against
-the fixture and against each other. Work items are independent and are
-built in (p, n) order; results come back in input order, serially or from
-the pool, so output is deterministic no matter how many workers ran. The
-pool and its imports load only when more than one worker will run, so
-default one-shot calls do not pay for them.
+nothing else in the package hardcodes table rows. A row is the FixtureRow
+that every route returns (defined in characteristic and re-exported here,
+with braced). Row validation compares every applicable route (membership DP,
+closed form, norm criterion) against the fixture and against each other.
+Work items are independent and are built in (p, n) order; results come back
+in input order, serially or from the pool, so output is deterministic no
+matter how many workers ran. The pool and its imports load only when more
+than one worker will run, so default one-shot calls do not pay for them.
 """
 
 from __future__ import annotations
@@ -18,18 +19,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-from .characteristic import GeneratingSet, characteristic_bitset, minimal_generating_set
+from .characteristic import FixtureRow, braced, characteristic_bitset, minimal_generating_set
 from .closed_form import gen_set_closed_form
 from .modular import Prime, is_prime
 from .norm_criterion import candidate_sums, generating_set_via_norm
 
 
 class Route(NamedTuple):
-    """Which orders n a route covers, how it runs, the error text (formatted
-    with n) for an order it does not cover, and any JSON audit witnesses."""
+    """Which orders n a route covers, how it runs (to the row of (p, n)), the
+    error text (formatted with n) for an order it does not cover, and any JSON
+    audit witnesses."""
 
     applies: Callable[[int], bool]
-    run: Callable[[Prime, int], GeneratingSet]
+    run: Callable[[Prime, int], FixtureRow]
     inapplicable: str = ""
     witnesses: Optional[Callable[[Prime, int], dict]] = None
 
@@ -50,28 +52,6 @@ class FixtureParseError(ValueError):
     """Malformed fixture content; message names the offending line."""
 
 
-def braced(generators: Iterable[int], sep: str = " ") -> str:
-    """The `{g1 g2 ...}` text of a generator list, as fixtures and the CLI print it."""
-    return "{" + sep.join(map(str, generators)) + "}"
-
-
-@dataclass(frozen=True)
-class FixtureRow:
-    """One (p, n, minimal generators) row, as fixtures, `table` and `verify` carry it."""
-
-    p: Prime
-    order: int
-    generators: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.order < 1 or (self.p - 1) % self.order != 0:
-            raise ValueError(f"order {self.order} does not divide {self.p} - 1")
-        GeneratingSet(self.generators)  # the one rule for a generator list
-
-    def as_line(self) -> str:
-        return f"{int(self.p)},{self.order},{braced(self.generators)}"
-
-
 @dataclass
 class RouteComparison:
     """Outcome of running all applicable routes for one (p, n)."""
@@ -88,7 +68,7 @@ class RouteComparison:
 class ValidationReport:
     total: int
     passed: int
-    failures: list[tuple[FixtureRow, GeneratingSet, str]]
+    failures: list[tuple[FixtureRow, FixtureRow, str]]
     notes: tuple[str, ...] = ()
     route_ms: dict[str, float] = field(default_factory=dict)
 
@@ -186,8 +166,7 @@ def _validate_row(row: FixtureRow) -> RouteComparison:
 
 def _table_row(item: tuple[int, int]) -> FixtureRow:
     p, n = item
-    prime = Prime(p)
-    return FixtureRow(p=prime, order=n, generators=ROUTES["dp"].run(prime, n).generators)
+    return ROUTES["dp"].run(Prime(p), n)
 
 
 def _map_items(fn, items, workers: int):
@@ -208,12 +187,12 @@ def validate_fixture(rows: list[FixtureRow], workers: int = 1) -> ValidationRepo
     rows = sorted(rows, key=lambda row: (row.p, row.order, row.generators))
     comparisons = _map_items(_validate_row, rows, workers)
 
-    failures: list[tuple[FixtureRow, GeneratingSet, str]] = []
+    failures: list[tuple[FixtureRow, FixtureRow, str]] = []
     notes: list[str] = []
     route_ms = {route: 0.0 for route in ROUTES}
     passed = 0
     for row, comparison in zip(rows, comparisons):
-        wrong = [(row, GeneratingSet(generators=gens), route)
+        wrong = [(row, FixtureRow(row.p, row.order, gens), route)
                  for route, gens in sorted(comparison.results.items()) if gens != row.generators]
         failures.extend(wrong)
         passed += not wrong

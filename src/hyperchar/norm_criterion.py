@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import islice, takewhile
 
-from .characteristic import GeneratingSet, _generate, residue_steps
+from .characteristic import FixtureRow, _generate, residue_steps
 from .modular import Prime, subgroup_generator
 
 
@@ -144,8 +144,8 @@ def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
     return NormCandidateSet(p=p, q=Prime(q), witnesses=witnesses)
 
 
-def generating_set_via_norm(p: Prime, q: Prime) -> GeneratingSet:
-    """Minimal generating set from the norm route alone.
+def generating_set_via_norm(p: Prime, q: Prime) -> FixtureRow:
+    """The row (p, q, minimal generators) from the norm route alone.
 
     The generators of the monoid spanned by p, q and the candidate sums,
     passed as one coin mask to the closing loop (one _close pass per
@@ -167,7 +167,7 @@ def generating_set_via_norm(p: Prime, q: Prime) -> GeneratingSet:
         candidates = int(bits + "0", 2)
     else:
         candidates = _walk_candidates(p, powers)
-    return GeneratingSet(generators=_generate(candidates | 1 << p | 1 << q, p))
+    return FixtureRow(p, q, _generate(candidates | 1 << p | 1 << q, p))
 
 
 def tuple_bound(p: Prime, q: Prime) -> int:

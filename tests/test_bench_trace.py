@@ -1,10 +1,12 @@
-"""A traced benchmark pass runs against the current package.
+"""Benchmark passes run against the current package.
 
 The tracer in bench/child.py wraps the package's public functions and reads
 their arguments (for instance the membership view of the set handed to the
 outermost generator extraction), so an interface change can break a traced
-pass while every untraced one still works. These tests run one traced pass
-per workload kind in a fresh interpreter, as the benchmark does.
+pass while every untraced one still works. An untraced pass counts one item
+each time a marked function returns (`ITEM_END` in bench/child.py), so an
+interface change can also leave it with no item latencies. These tests run
+traced and untraced passes in a fresh interpreter, as the benchmark does.
 """
 
 import json
@@ -15,6 +17,14 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def _run_pass(spec: dict) -> dict:
+    spec = dict(spec, src=str(REPO / "src"))
+    done = subprocess.run([sys.executable, str(REPO / "bench" / "child.py"), json.dumps(spec)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 @pytest.mark.parametrize("spec,layer", [
@@ -29,11 +39,7 @@ REPO = Path(__file__).resolve().parent.parent
     ({"kind": "verify"}, "harness.route_ms.norm"),
 ], ids=["table", "genset-norm-json", "genset-closed", "verify"])
 def test_traced_pass_reports_layers(spec, layer):
-    spec = dict(spec, src=str(REPO / "src"), traced=True)
-    done = subprocess.run([sys.executable, str(REPO / "bench" / "child.py"), json.dumps(spec)],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout)
+    result = _run_pass(dict(spec, traced=True))
     assert result["layers"] is not None
     assert result["layers"][layer] > 0
     if spec["kind"] == "table":
@@ -45,3 +51,18 @@ def test_traced_pass_reports_layers(spec, layer):
     else:
         assert [code for code, _ in result["output"]] == [0]
         assert json.loads(result["output"][0][1])["generators"] == [5, 6, 7, 8, 9]
+
+
+@pytest.mark.parametrize("spec,items", [
+    ({"kind": "table", "p_max": 40}, 58),
+    ({"kind": "verify"}, 354),
+], ids=["table", "verify"])
+def test_untraced_pass_times_every_item(spec, items):
+    result = _run_pass(dict(spec, traced=False))
+    assert result["layers"] is None
+    assert len(result["items_ms"]) == items
+    if spec["kind"] == "table":
+        assert len(result["output"]) == items
+        assert [7, 3, [3, 4, 5]] in result["output"]
+    else:
+        assert result["output"] == {"total": 354, "passed": 354}

@@ -1,9 +1,13 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperchar import harness
 from hyperchar.harness import (
+    ROUTES,
     ConjectureWitness,
     FixtureParseError,
     FixtureRow,
@@ -16,10 +20,32 @@ from hyperchar.harness import (
     table_rows,
     validate_fixture,
 )
-from hyperchar.characteristic import GeneratingSet
 from hyperchar.modular import Prime, is_prime
 
 from conftest import oracle_is_prime, subgroup_pairs
+
+BENCH_TABLE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "table.txt"
+
+
+def _shipped_lines() -> list[str]:
+    text = shipped_fixture_path().read_text(encoding="utf-8")
+    return [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
+
+
+# each malformed row and the words its error must carry
+MALFORMED_ROWS = [
+    ("7,3", "expected 'p,n,{...}'"),  # missing set
+    ("7,3,[3 4 5]", "brace-delimited"),  # wrong delimiters
+    ("8,1,{8}", "8 is not prime"),
+    ("7,4,{2}", "does not divide"),
+    ("7,3,{5 4 3}", "strictly increasing"),  # not sorted
+    ("7,3,{3 3 4}", "strictly increasing"),  # duplicate generator
+    ("x,3,{3}", "invalid literal"),  # not an integer
+    ("7,3,{0 3 4 5}", "positive"),  # zero generator
+    ("7,3,{-2 3}", "positive"),  # negative generator
+]
+ROUTE_CASES = [(line, name) for line in _shipped_lines()
+               for name in ROUTES if ROUTES[name].applies(parse_fixture_line(line).order)]
 
 
 class TestFixtureParsing:
@@ -39,21 +65,10 @@ class TestFixtureParsing:
         assert parse_fixture_line("# header") is None
         assert parse_fixture_line("   ") is None
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "7,3",  # missing set
-            "7,3,[3 4 5]",  # wrong delimiters
-            "8,1,{8}",  # p not prime
-            "7,4,{2}",  # order does not divide p-1
-            "7,3,{5 4 3}",  # not sorted
-            "x,3,{3}",  # not an integer
-            "7,3,{0 3 4 5}",  # zero generator
-            "7,3,{-2 3}",  # negative generator
-        ],
-    )
-    def test_malformed_rows_raise(self, line):
-        with pytest.raises(FixtureParseError):
+    @pytest.mark.parametrize("line,message", MALFORMED_ROWS, ids=[line for line, _ in MALFORMED_ROWS])
+    def test_malformed_rows_raise(self, line, message):
+        # the row checks run in a fixed order: order, then sorted, then positive
+        with pytest.raises(FixtureParseError, match="^line 17: .*" + re.escape(message)):
             parse_fixture_line(line, lineno=17)
 
     def test_error_names_the_line(self):
@@ -103,6 +118,35 @@ class TestShippedFixtures:
         small = load_fixtures(shipped_fixture_path("small_orders.txt"))
         assert {r.order for r in small} == {1, 2, 3, 4}
 
+    @pytest.mark.parametrize("line,name", ROUTE_CASES,
+                             ids=[f"{line.split(',{')[0]}-{name}" for line, name in ROUTE_CASES])
+    def test_route_returns_the_fixture_row(self, line, name):
+        # a route's answer is the row itself, which prints as the fixture line
+        row = parse_fixture_line(line)
+        computed = ROUTES[name].run(row.p, row.order)
+        assert computed == row
+        assert computed.as_line() == line
+
+    @pytest.mark.parametrize("path", [shipped_fixture_path(), BENCH_TABLE],
+                             ids=["reference_sets", "bench_table"])
+    def test_even_orders_have_two_generators(self, path):
+        """Every even-n row is {2, m} with m odd.
+
+        For even n the cyclic group (Z/pZ)^x puts its one element of order 2,
+        -1, in G, so 1 + (-1) = 0 makes 2 a member, and the least one, since
+        a single element of G is never 0. Every even s is then a member. Let
+        m be the least odd member (p copies of 1 make p one). Adding 2 to a
+        member gives a member, so the odd members are exactly m + 2k, k >= 0,
+        and S = <2, m>. m is odd, so no sum of 2s: the minimal generators are
+        (2, m).
+        """
+        even = [row for row in load_fixtures(path) if row.order % 2 == 0]
+        assert len(even) > 50
+        for row in even:
+            assert len(row.generators) == 2 and row.generators[0] == 2, row.as_line()
+            assert row.generators[1] % 2 == 1, row.as_line()
+
+
 
 # Forty primes drawn once from [2000, 6000] (random.Random(2018).sample) and
 # kept as literals, so a failure replays exactly.
@@ -149,7 +193,7 @@ class TestCrossValidate:
 
     def test_note_for_unexpected_p_generator(self, monkeypatch):
         monkeypatch.setitem(harness.ROUTES, "dp", harness.Route(
-            lambda n: True, lambda p, n: GeneratingSet(generators=(3, 7))))
+            lambda n: True, lambda p, n: FixtureRow(p, n, (3, 7))))
         assert cross_validate(Prime(7), 3).notes == (
             "p=7 appears as a generator (unexpected for n=3)",)
 
