@@ -4,9 +4,8 @@ verification, the conjecture scan, and the hyperfield axiom audit.
 Exit codes: 0 success, 1 result mismatch, conjecture failure or failed
 audit, 2 invalid arguments, 3 route not applicable to the requested order,
 4 I/O failure.
-Data streams are byte-deterministic: stdout never carries timing; timing
-goes to stderr, or into an explicit elapsed_ms field for JSON when --timing
-is set.
+Data streams are byte-deterministic: stdout never carries timing; --timing
+writes it to stderr.
 """
 
 from __future__ import annotations
@@ -95,8 +94,6 @@ def cmd_genset(args: argparse.Namespace) -> int:
         if route.witnesses and args.format == "json":
             extra["witnesses"] = {str(s): c for s, c in route.witnesses(p, n).items()}
         elapsed = (time.perf_counter() - t0) * 1000.0
-        if args.timing and args.format == "json":
-            extra["elapsed_ms"] = round(elapsed, 3)
         label = f"{name} " if args.route == "all" else ""
         print(_record(args.format, row, name, label, **extra))
         if args.timing:
@@ -197,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_genset.add_argument("--n", type=int, required=True, help="subgroup order, must divide p-1")
     p_genset.add_argument("--route", choices=(*ROUTES, "all"), default="dp")
     p_genset.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    p_genset.add_argument("--timing", action="store_true", help="report timing (stderr; JSON field)")
+    p_genset.add_argument("--timing", action="store_true", help="report timing on stderr")
     p_genset.set_defaults(func=cmd_genset)
 
     p_table = sub.add_parser("table", help="emit rows for all primes up to a bound")

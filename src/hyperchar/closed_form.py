@@ -24,8 +24,11 @@ def gen_set_closed_form(p: Prime, n: int) -> FixtureRow:
     the range where each formula applies (p >= 7 for order 3, p >= 5 for
     order 4), so no separate size check is needed. The output is sorted and
     deduplicated; minimality is re-verified against the table route in the
-    test suite rather than trusted blindly.
+    test suite rather than trusted blindly. Raises ValueError for a p that
+    is not prime.
     """
+    if not isinstance(p, Prime):
+        Prime(p)
     if n < 1 or (p - 1) % n != 0:
         raise ValueError(f"no subgroup of order {n} in (Z/{p}Z)^x")
     if n == 1:

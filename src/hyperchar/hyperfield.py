@@ -30,18 +30,15 @@ class QuotientHyperfield:
         rep = [0] * p
         orbits: dict[int, tuple[int, ...]] = {0: (0,)}
         for r in range(1, p):
-            if rep[r]:  # already in the orbit of a smaller residue
-                continue
-            orbit = sorted(r * g % p for g in self.subgroup.elements)
-            for m in orbit:
-                rep[m] = orbit[0]
-            orbits[orbit[0]] = tuple(orbit)
+            if not rep[r]:  # no smaller residue shares r's orbit, so r is its least member
+                orbits[r] = orbit = tuple(sorted(r * g % p for g in self.subgroup.elements))
+                for m in orbit:
+                    rep[m] = r
         self._rep = tuple(rep)
         self._orbits = orbits
         self.classes: tuple[int, ...] = tuple(sorted(orbits))
         self.zero = 0
         self.one = self._rep[1]
-        self._add_memo: dict[tuple[int, int], frozenset[int]] = {}
         self._folds: list[frozenset[int]] = [frozenset([0]), frozenset([self.one])]
 
     def __repr__(self) -> str:
@@ -61,21 +58,8 @@ class QuotientHyperfield:
         The elementwise sum is G-stable, so it suffices to add the single
         representative x to each member of orbit(y).
         """
-        key = (x, y)
-        out = self._add_memo.get(key)
-        if out is None:
-            x = self.class_of(x)
-            out = frozenset(self._rep[(x + b) % self.p] for b in self.orbit(y))
-            self._add_memo[key] = out
-        return out
-
-    def hyperadd_sets(self, xs, ys) -> frozenset[int]:
-        """Union of x + y over x in xs, y in ys."""
-        out: set[int] = set()
-        for x in xs:
-            for y in ys:
-                out |= self.hyperadd(x, y)
-        return frozenset(out)
+        x = self.class_of(x)
+        return frozenset(self._rep[(x + b) % self.p] for b in self.orbit(y))
 
     def hypermul(self, x: int, y: int) -> int:
         """Product class; independent of the chosen orbit members."""
@@ -90,7 +74,8 @@ class QuotientHyperfield:
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
         while len(self._folds) <= n:
-            self._folds.append(self.hyperadd_sets(self._folds[-1], (self.one,)))
+            last = self._folds[-1]
+            self._folds.append(frozenset().union(*(self.hyperadd(x, self.one) for x in last)))
         return self._folds[n]
 
     def n_fold_sum_contains_zero(self, n: int) -> bool:

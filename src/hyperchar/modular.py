@@ -129,7 +129,10 @@ def find_primitive_root(p: Prime) -> int:
     """Smallest g in [1, p-1] generating all of (Z/pZ)^x.
 
     Fixing the smallest root keeps every downstream element list reproducible.
+    Raises ValueError for a p that is not prime; a Prime was checked when built.
     """
+    if not isinstance(p, Prime):
+        Prime(p)
     if p == 2:
         return 1
     factors = _prime_factors(p - 1)

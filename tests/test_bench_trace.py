@@ -7,6 +7,9 @@ pass while every untraced one still works. An untraced pass counts one item
 each time a marked function returns (`ITEM_END` in bench/child.py), so an
 interface change can also leave it with no item latencies. These tests run
 traced and untraced passes in a fresh interpreter, as the benchmark does.
+bench/make_reference.py reads route results directly as well, so the last
+tests check its pieces against the reference data it wrote, without calling
+its main(), which would rewrite that data.
 """
 
 import json
@@ -17,6 +20,11 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "bench"))
+sys.path.insert(0, str(REPO / "src"))
+
+import make_reference  # noqa: E402
+from hyperchar import Prime, cross_validate  # noqa: E402
 
 
 def _run_pass(spec: dict) -> dict:
@@ -66,3 +74,27 @@ def test_untraced_pass_times_every_item(spec, items):
         assert [7, 3, [3, 4, 5]] in result["output"]
     else:
         assert result["output"] == {"total": 354, "passed": 354}
+
+
+def _first_reference_record(slot: int) -> dict:
+    with open(REPO / "bench" / "reference" / "genset.jsonl", encoding="utf-8") as fh:
+        return next(r for r in map(json.loads, fh) if r["slot"] == slot)
+
+
+# slots 0 and 1 are left out, as their dp calls take about a second each
+@pytest.mark.parametrize("slot", [2, 3, 4, 5])
+def test_make_reference_routes_match_genset_reference(slot):
+    record = _first_reference_record(slot)
+    results = make_reference.route_results(record["p"], record["n"])
+    assert record["route"] in results
+    assert set(results.values()) == {tuple(record["generators"])}
+
+
+def test_make_reference_table_line_matches_shipped_row():
+    comparison = cross_validate(Prime(211), 7)
+    # formatted as make_reference.main() writes each table.txt line
+    gens = " ".join(map(str, comparison.results["dp"]))
+    line = f"211,7,{{{gens}}}"
+    shipped = (REPO / "bench" / "reference" / "table.txt").read_text(encoding="utf-8")
+    assert comparison.agree
+    assert line in shipped.splitlines()

@@ -198,6 +198,14 @@ class TestGenset:
         )
         assert code == 0 and out == "{3, 4, 5}\n" and "ms" in err
 
+    @pytest.mark.parametrize("route", ["dp", "closed", "norm"])
+    def test_timing_leaves_json_stdout_unchanged(self, capsys, route):
+        argv = ["genset", "--p", "7", "--n", "3", "--route", route, "--format", "json"]
+        code, plain, _ = run_cli(capsys, *argv)
+        timed_code, timed, err = run_cli(capsys, *argv, "--timing")
+        assert code == timed_code == 0
+        assert timed == plain and f"# {route}: " in err
+
 
 class TestTable:
     def test_stdout_smallest(self, capsys):

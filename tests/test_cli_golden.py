@@ -58,6 +58,9 @@ GOLDEN_NORM_JSON_SHA256 = {
 # sha256 of the stdout of `table --p-max 300` (515 rows, every n | p-1 for p <= 300)
 TABLE_300_SHA256 = "bae72773dbe87eb9521b741258d22371adf5b1f3e69df766de9b95c03ad925b2"
 
+# sha256 of the stdout of `audit --p-max 31` (49 quotients and the summary line)
+AUDIT_31_SHA256 = "ac39751d4f850a47648fccc256a21093f420b77b7f368744030bbf4bc0a71594"
+
 GENSET_HELP = """\
 usage: hyperchar genset [-h] --p P --n N [--route {dp,closed,norm,all}]
                         [--format {plain,csv,json}] [--timing]
@@ -68,7 +71,7 @@ options:
   --n N                 subgroup order, must divide p-1
   --route {dp,closed,norm,all}
   --format {plain,csv,json}
-  --timing              report timing (stderr; JSON field)
+  --timing              report timing on stderr
 """
 
 
@@ -96,6 +99,15 @@ def test_table_300_digest(capsys):
     assert code == 0
     assert len(captured.out.splitlines()) == 515
     assert hashlib.sha256(captured.out.encode()).hexdigest() == TABLE_300_SHA256
+    assert captured.err == ""
+
+
+def test_audit_31_digest(capsys):
+    code = main(["audit", "--p-max", "31"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert len(captured.out.splitlines()) == 50
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == AUDIT_31_SHA256
     assert captured.err == ""
 
 

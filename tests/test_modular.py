@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperchar import characteristic_bitset, gen_set_closed_form, generating_set_via_norm
 from hyperchar.modular import (
     EisensteinPair,
     Prime,
@@ -76,6 +77,23 @@ class TestPrimitiveRoot:
 
     def test_p_equals_two(self):
         assert find_primitive_root(Prime(2)) == 1
+
+
+# a composite p is a caller's error, so every route raises ValueError for it;
+# AssertionError is kept for broken internal invariants
+@pytest.mark.parametrize("route,p,n", [
+    (gen_set_closed_form, 15, 2),
+    (gen_set_closed_form, 25, 4),
+    (gen_set_closed_form, 9, 1),
+    (gen_set_closed_form, 21, 4),
+    (gen_set_closed_form, 91, 3),
+    (generating_set_via_norm, 15, 7),
+    (characteristic_bitset, 15, 2),
+    (subgroup_of_order, 9, 2),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_composite_p_is_rejected(route, p, n):
+    with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+        route(p, n)
 
 
 class TestSubgroup:
