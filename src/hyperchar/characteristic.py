@@ -180,44 +180,34 @@ def minimal_generating_set(S: CharacteristicSet) -> FixtureRow:
     return FixtureRow(S.p, S.order, monoid_minimal_generators(S.mask))
 
 
-def _min_summands_table(G: UnitSubgroup, cap: int) -> list[int]:
-    """mc[t] = least number of terms g-1 (over g in G, g > 1) summing to t, or cap+1."""
-    denoms = [g - 1 for g in G.elements if g > 1]
-    inf = cap + 1
-    mc = [0] + [inf] * cap
-    for t in range(1, cap + 1):
-        best = inf
-        for d in denoms:
-            if d <= t and mc[t - d] + 1 < best:
-                best = mc[t - d] + 1
-        mc[t] = best
-    return mc
+def _short_sums(G: UnitSubgroup, s: int) -> int:
+    """Bit t says t is a sum of at most s terms g - 1, g in G (g = 1 adds 0)."""
+    sums = 1
+    for _ in range(s):
+        wide = 0
+        for g in G.elements:
+            wide |= sums << (g - 1)
+        sums = wide
+    return sums
 
 
 def kp_representation_check(p: Prime, G: UnitSubgroup, s: int) -> bool:
     """Decide membership of s in char(F_p/G) without the residue DP.
 
-    s is a member iff for some k in [1, s] the deficit t = kp - s is a sum of
-    at most s terms drawn from {g - 1 : g in G, g > 1}: writing a zero-sum
-    multiset of size s as b_1 copies of g_1, ... with sum kp gives exactly
-    such a decomposition, and conversely. The trivial subgroup has no terms
-    available, so membership degenerates to p | s.
-
-    By Cauchy-Davenport the s-fold sumset of G has at least min(p, s(n-1)+1)
-    residues, so every s >= ceil((p-1)/(n-1)) reaches 0 and is a member with
-    no table; the table then never needs more than about p^2 entries.
+    s is a member iff some deficit t = kp - s >= 0 is a sum of at most s terms
+    g - 1 (g in G, g > 1): a zero-sum multiset of s elements, b_i copies of
+    g_i, sums to some kp, and conversely. Trivial G has no terms, so s is a
+    member iff p | s. By Cauchy-Davenport the s-fold sumset of G has at least
+    min(p, s(n-1)+1) residues, so every s >= ceil((p-1)/(n-1)) is a member
+    with no mask, and the mask of short sums needs at most about p^2 bits.
     """
     if G.p != p:
         raise ValueError(f"G is a subgroup mod {G.p}, not mod {p}")
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
-    if s == 0:
-        return True
     if G.is_trivial:
         return s % p == 0
     if s * (G.order - 1) >= p - 1:
         return True
-    cap = s * (max(G.elements) - 1)  # mc[t] <= s is impossible past this
-    mc = _min_summands_table(G, cap)
-    # the deficits t = kp - s, k >= 1, are the t >= 0 congruent to -s; t <= cap forces k < s
-    return any(mc[t] <= s for t in range(-s % p, cap + 1, p))
+    sums = _short_sums(G, s)
+    return any(sums >> t & 1 for t in range(-s % p, sums.bit_length(), p))  # t = kp - s

@@ -39,7 +39,6 @@ class QuotientHyperfield:
         self.classes: tuple[int, ...] = tuple(sorted(orbits))
         self.zero = 0
         self.one = self._rep[1]
-        self._folds: list[frozenset[int]] = [frozenset([0]), frozenset([self.one])]
 
     def __repr__(self) -> str:
         return f"QuotientHyperfield(p={int(self.p)}, n={self.subgroup.order})"
@@ -70,13 +69,23 @@ class QuotientHyperfield:
         return self._rep[(self.p - x % self.p) % self.p]
 
     def n_fold_sums(self, n: int) -> frozenset[int]:
-        """Set of classes reachable as a sum of exactly n copies of one."""
+        """Set of classes reachable as a sum of exactly n copies of one.
+
+        Each fold is a function of the last, so the walk from {0} keeps one
+        fold, stops at a fold equal to its predecessor, and on a return to {0}
+        after k folds reduces n mod k. Within p folds one of the two happens
+        (Cauchy-Davenport for nontrivial G; fold p is {0} for trivial G)."""
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
-        while len(self._folds) <= n:
-            last = self._folds[-1]
-            self._folds.append(frozenset().union(*(self.hyperadd(x, self.one) for x in last)))
-        return self._folds[n]
+        fold, k = frozenset([self.zero]), 0
+        while k < n:
+            nxt = frozenset().union(*(self.hyperadd(x, self.one) for x in fold))
+            if nxt == fold:
+                break
+            fold, k = nxt, k + 1
+            if fold == {self.zero}:
+                n, k = n % k, 0
+        return fold
 
     def n_fold_sum_contains_zero(self, n: int) -> bool:
         return self.zero in self.n_fold_sums(n)

@@ -103,6 +103,45 @@ def oracle_members_setwalk(p: int, n: int, bound: int) -> list[bool]:
     return member
 
 
+def oracle_folds(H, count: int) -> list:
+    """Folds 0..count-1 of the unit sums of a QuotientHyperfield, every fold
+    kept: fold k + 1 is the union of hyperadd(x, one) over fold k, with no stop."""
+    folds = [frozenset([H.zero])]
+    while len(folds) < count:
+        folds.append(frozenset().union(*(H.hyperadd(x, H.one) for x in folds[-1])))
+    return folds
+
+
+def oracle_min_summands_table(elements, cap: int) -> list[int]:
+    """mc[t] = least number of terms g-1 (over g in elements, g > 1) summing to t, or cap+1."""
+    denoms = [g - 1 for g in elements if g > 1]
+    inf = cap + 1
+    mc = [0] + [inf] * cap
+    for t in range(1, cap + 1):
+        best = inf
+        for d in denoms:
+            if d <= t and mc[t - d] + 1 < best:
+                best = mc[t - d] + 1
+        mc[t] = best
+    return mc
+
+
+def oracle_kp_check(p: int, elements, s: int) -> bool:
+    """The kp criterion read off a list table of least term counts: s is a
+    member iff some deficit t = kp - s >= 0 has mc[t] <= s. Keeps the trivial
+    subgroup rule and the Cauchy-Davenport shortcut, which bound the table."""
+    n = len(elements)
+    if s == 0:
+        return True
+    if n == 1:
+        return s % p == 0
+    if s * (n - 1) >= p - 1:
+        return True
+    cap = s * (max(elements) - 1)
+    mc = oracle_min_summands_table(elements, cap)
+    return any(mc[t] <= s for t in range(-s % p, cap + 1, p))
+
+
 def oracle_member_enumerate(p: int, n: int, s: int) -> bool:
     """Characteristic membership by exhaustive multiset enumeration (tiny s only)."""
     if s == 0:

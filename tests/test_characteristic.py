@@ -22,6 +22,7 @@ from conftest import (
     oracle_continuity_threshold,
     oracle_convolution_generators,
     oracle_is_prime,
+    oracle_kp_check,
     oracle_member_enumerate,
     oracle_members_setwalk,
     oracle_minimal_generators,
@@ -294,16 +295,38 @@ class TestKpRepresentation:
         for s, expected in enumerate(oracle):
             assert kp_representation_check(prime, G, s) == expected, (p, n, s)
 
+    @pytest.mark.parametrize("p,n", subgroup_pairs(59))
+    def test_matches_list_table_oracle(self, p, n):
+        prime = Prime(p)
+        G = subgroup_of_order(prime, n)
+        for s in range(0, 3 * p):
+            expected = oracle_kp_check(p, G.elements, s)
+            assert kp_representation_check(prime, G, s) == expected, (p, n, s)
+
+    @pytest.mark.parametrize(
+        "p,n", [(509, 4), (1009, 3), (1009, 7), (1009, 9), (2003, 7), (2003, 11), (2003, 13)]
+    )
+    def test_matches_membership_near_threshold_at_large_p(self, p, n):
+        prime = Prime(p)
+        S = characteristic_bitset(prime, n)
+        G = subgroup_of_order(prime, n)
+        threshold = S.continuity_threshold
+        assert threshold - 1 not in S
+        # ceil((p-1)/(n-1)) - 1 is the largest s below the Cauchy-Davenport shortcut
+        last_tabled = -(-(p - 1) // (n - 1)) - 1
+        for s in (threshold - 1, threshold, last_tabled - 1, last_tabled):
+            assert kp_representation_check(prime, G, s) == (s in S), (p, n, s)
+
     def test_large_count_needs_no_table(self, monkeypatch):
-        # without the Cauchy-Davenport shortcut this needs a table of about
-        # s * max(G) entries, built at |G| steps each (seconds at this size)
-        original, calls = characteristic._min_summands_table, []
+        # without the Cauchy-Davenport shortcut this needs a mask of about
+        # s * max(G) bits, built in s rounds of |G| shifts
+        original, calls = characteristic._short_sums, []
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(characteristic, "_min_summands_table", counting)
+        monkeypatch.setattr(characteristic, "_short_sums", counting)
         assert kp_representation_check(Prime(421), subgroup_of_order(Prime(421), 210), 840)
         assert calls == []
 
@@ -318,6 +341,6 @@ class TestKpRepresentation:
             kp_representation_check(Prime(7), G, -1)
 
     def test_rejects_subgroup_of_another_prime(self, monkeypatch):
-        monkeypatch.setattr(characteristic, "_min_summands_table", None)  # no work before the check
+        monkeypatch.setattr(characteristic, "_short_sums", None)  # no work before the check
         with pytest.raises(ValueError, match="mod 13, not mod 7"):
             kp_representation_check(Prime(7), subgroup_of_order(Prime(13), 3), 2)

@@ -6,7 +6,7 @@ from hyperchar.characteristic import characteristic_bitset
 from hyperchar.hyperfield import AxiomReport, QuotientHyperfield, check_axioms
 from hyperchar.modular import Prime
 
-from conftest import subgroup_pairs
+from conftest import oracle_folds, subgroup_pairs
 
 
 class TestConstruction:
@@ -274,5 +274,20 @@ class TestNFoldSums:
     def test_agrees_with_membership_table(self, p, n):
         H = QuotientHyperfield(p, n)
         S = characteristic_bitset(Prime(p), n)
-        for s in range(0, S.bound + 1):
-            assert H.n_fold_sum_contains_zero(s) == S.member[s], (p, n, s)
+        for s in range(0, 5 * p):
+            assert H.n_fold_sum_contains_zero(s) == (s in S), (p, n, s)
+
+    @pytest.mark.parametrize("p,n", subgroup_pairs(59))
+    def test_matches_kept_folds_oracle(self, p, n):
+        H = QuotientHyperfield(p, n)
+        for s, fold in enumerate(oracle_folds(H, 5 * p)):
+            assert H.n_fold_sums(s) == fold, (p, n, s)
+
+    @pytest.mark.parametrize("p,n", [(7, 1), (101, 1), (7, 3), (101, 5)])
+    def test_huge_count_needs_bounded_work(self, p, n):
+        H = QuotientHyperfield(p, n)
+        if n == 1:
+            expected = {H.class_of(10**12)}
+        else:  # past the fixed point every fold is the same
+            expected = oracle_folds(H, 2 * p + 1)[2 * p]
+        assert H.n_fold_sums(10**12) == expected
