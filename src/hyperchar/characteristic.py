@@ -4,7 +4,9 @@ The submonoid is S = {s >= 0 : some multiset of s elements of G sums to 0 mod p}
 Membership is decided by a reachable-residue dynamic program over big-integer
 bitmasks: bit r of the step-k mask says "some sum of exactly k subgroup elements
 is congruent to r mod p". A step shifts the mask by every element into one
-wide int and folds the wrapped bits p..2p-2 back once. Each minimal generator
+wide int and folds the wrapped bits p..2p-2 back once. For nontrivial G the
+walk stops after p-2 steps: by Cauchy-Davenport every s >= p-1 is a member,
+so the rest of the window is set without stepping. Each minimal generator
 is the least member outside the closure of the smaller ones, closed in by
 doubling shifts; the norm route runs the same loop on its coin mask. Every
 route returns its answer as one FixtureRow (p, n, minimal generators), the
@@ -123,16 +125,21 @@ def characteristic_bitset(p: Prime, n: int) -> CharacteristicSet:
     """Exact membership table of char(F_p/G) for G the order-n unit subgroup,
     on the window [0, 2p].
 
-    For nontrivial G every s >= p-1 is a member, so each s >= 2(p-1) splits
-    as (p-1) + (s-p+1) into two members: no minimal generator lives at
-    2(p-1) or beyond, and the extraction in minimal_generating_set is sound.
-    The trivial subgroup yields the multiples of p, whose one generator p
-    lies in the same window.
+    For nontrivial G (n >= 2) Cauchy-Davenport gives |sG| >= min(p, s(n-1)+1),
+    which is p at s = p-1: every residue, 0 included, is a sum of s elements
+    for every s >= p-1. So the DP walks only steps 1..p-2 and bits p-1..2p
+    are set without stepping. Each s >= 2(p-1) then splits as
+    (p-1) + (s-p+1) into two members: no minimal generator lives at 2(p-1)
+    or beyond, and the extraction in minimal_generating_set is sound. The
+    trivial subgroup walks all 2p steps and yields the multiples of p, whose
+    one generator p lies in the same window.
     """
-    steps = islice(residue_steps(p, subgroup_of_order(p, n).elements), 2 * p)
+    walk = 2 * p if n == 1 else p - 2
+    steps = islice(residue_steps(p, subgroup_of_order(p, n).elements), walk)
     # bit 0 of step s becomes bit s of the mask; the trailing "1" is the member 0
     bits = "".join("1" if reach & 1 else "0" for reach in steps)
-    return CharacteristicSet(p=p, order=n, mask=int(bits[::-1] + "1", 2))
+    tail = "1" * (2 * p - walk)  # the members walk+1..2p
+    return CharacteristicSet(p=p, order=n, mask=int(tail + bits[::-1] + "1", 2))
 
 
 def _close(mask: int, c: int, bound: int) -> int:

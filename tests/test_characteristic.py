@@ -200,6 +200,12 @@ class TestContinuityThreshold:
         assert S.continuity_threshold is not None
         assert S.continuity_threshold <= p - 1
         assert all(S.member[s] for s in range(S.continuity_threshold, S.bound + 1))
+        # the dp sets bits p-1..2p without stepping, so the walked oracle checks the theorem
+        member = oracle_members_setwalk(p, n, 2 * p)
+        threshold = oracle_continuity_threshold(member, p)
+        assert threshold is not None
+        assert threshold <= p - 1
+        assert all(member[threshold:])
 
     @pytest.mark.parametrize("p", [3, 5, 11, 31])
     def test_trivial_subgroup_never_certifies(self, p):
@@ -254,14 +260,29 @@ class TestResidueSteps:
         g = subgroup_of_order(Prime(p), q).generator
         assert_steps_match_rotation(p, [pow(g, j, p) for j in range(q - 1)])
 
-    @pytest.mark.parametrize("p,n", [(1009, 2), (1009, 504)])
+    @pytest.mark.parametrize("p,n", subgroup_pairs(199) + [(1009, 1), (1009, 2), (1009, 504)])
     def test_bitset_mask_matches_per_step_assembly(self, p, n):
+        # the oracle walks all 2p steps; the dp stops after p-2 for nontrivial G
         S = characteristic_bitset(Prime(p), n)
         mask = 1
         steps = oracle_residue_steps(p, subgroup_of_order(Prime(p), n).elements)
         for s, reach in enumerate(islice(steps, S.bound), 1):
             mask |= (reach & 1) << s
         assert S.mask == mask
+
+    @pytest.mark.parametrize("p,n,walk", [(7, 3, 5), (13, 12, 11), (31, 1, 62), (1009, 2, 1007)])
+    def test_bitset_draws_p_minus_two_steps_unless_trivial(self, monkeypatch, p, n, walk):
+        drawn = 0
+
+        def counted(p, elements):
+            nonlocal drawn
+            for reach in residue_steps(p, elements):
+                drawn += 1
+                yield reach
+
+        monkeypatch.setattr(characteristic, "residue_steps", counted)
+        characteristic_bitset(Prime(p), n)
+        assert drawn == walk
 
     @pytest.mark.parametrize("elements", [[0], [7], [8], [3, 7], [-1]])
     def test_rejects_residue_outside_one_to_p_minus_one(self, elements):

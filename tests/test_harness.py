@@ -22,7 +22,7 @@ from hyperchar.harness import (
 )
 from hyperchar.modular import Prime, is_prime
 
-from conftest import oracle_is_prime, subgroup_pairs
+from conftest import oracle_is_prime, regenerate, subgroup_pairs
 
 BENCH_TABLE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "table.txt"
 
@@ -311,6 +311,20 @@ class TestTableRows:
     def test_rejects_tiny_p_max(self):
         with pytest.raises(ValueError):
             table_rows(1)
+
+    def test_rows_obey_theorems_that_need_no_route(self):
+        # p ones sum to 0; the q-th roots of unity in G sum to 0 for a prime
+        # q | n; and by Cauchy-Davenport every s >= ceil((p-1)/(n-1)) is a
+        # member, so a generator g past that plus the least one m is m + (g - m)
+        rows = table_rows(300)
+        assert len(rows) == 515
+        for row in rows:
+            p, n, generators = int(row.p), row.order, row.generators
+            member = regenerate(generators, p)
+            assert member[p], row
+            assert all(member[q] for q in range(2, n + 1) if n % q == 0 and oracle_is_prime(q)), row
+            if n >= 2:
+                assert max(generators) < -(-(p - 1) // (n - 1)) + min(generators), row
 
 
 class TestConjecture:
