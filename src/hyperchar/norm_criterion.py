@@ -5,17 +5,20 @@ a_{q-2}) with total s makes the cyclotomic norm of sum a_i zeta^i vanish
 mod p. The norm is a product of conjugate evaluations at the powers of a
 primitive q-th root g in F_p, and a product over a field vanishes iff one
 factor does, so candidacy reduces to: can exactly s terms drawn from
-{g^0, ..., g^{q-2}} sum to 0 mod p. That is a residue DP, not a tuple
-enumeration, which keeps q = 11 near p = 200 cheap.
+{g^0, ..., g^{q-2}} sum to 0 mod p. When the a_j total s, sum a_j g^j =
+s - sum_{j>=1} a_j e_j with steps e_j = 1 - g^j, so that holds iff s is a
+sum of at most s steps e_j mod p, the rest of the s terms being g^0. One
+BFS over Z/p from 0 by the steps gives level(s), the fewest steps that sum
+to s: s is a candidate iff level(s) <= s. The same level loop decides
+candidacy and builds the witnesses, and no residue walk of the dp runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, takewhile
 
-from .characteristic import FixtureRow, _generate, residue_steps
+from .characteristic import FixtureRow, _generate
 from .modular import Prime, subgroup_generator
 
 
@@ -40,9 +43,9 @@ class NormCandidateSet:
         return tuple(self.witnesses)
 
 
-def _norm_powers(p: Prime, q: int) -> list[int]:
-    """The allowed powers g^0..g^{q-2}, where g is the canonical primitive q-th
-    root mod p.
+def _norm_steps(p: Prime, q: int) -> list[int]:
+    """The steps e_j = 1 - g^j mod p for j = 1..q-2, where g is the canonical
+    primitive q-th root mod p.
 
     Raises ValueError unless q is a prime divisor of p - 1.
     """
@@ -50,97 +53,88 @@ def _norm_powers(p: Prime, q: int) -> list[int]:
     if (p - 1) % q != 0:
         raise ValueError(f"q = {q} does not divide p - 1 = {p - 1}")
     g = subgroup_generator(p, int(q))
-    return [pow(g, j, p) for j in range(q - 1)]
+    return [(1 - pow(g, j, p)) % p for j in range(1, q - 1)]
 
 
-def _walk_candidates(p: Prime, powers: list[int]) -> int:
-    """Candidate mask from the residue-DP masks for s = 1, 2, ...: bit s is
-    bit 0 of the s-th mask, the walk ending at its first full mask or at s = p-1.
+def _levels(p: Prime, steps: list[int]):
+    """BFS over Z/p from 0 by the steps: yield (level, frontier, new) for level
+    = 1, 2, ..., where new holds the s first reached at that level and frontier
+    those of the level before, each as an int bitmask.
 
-    The q-1 powers are distinct, so by Cauchy-Davenport the s-fold sumset has
-    at least min(p, s(q-2)+1) residues: for q >= 5 the walk ends by step
-    ceil((p-1)/(q-2)). Full + A = full, so past the k0 steps before the full
-    mask every s in (k0, p) is a candidate; s = 0 is none.
+    A level shifts the frontier once per step into one wide int and folds it
+    once: every step is in [1, p-1], so a sum wraps past p at most once. The
+    q - 1 residues 0, e_1, ..., e_{q-2} are distinct, so by Cauchy-Davenport
+    the sums of at most k steps cover min(p, k(q-2)+1) residues: the BFS ends
+    by level ceil((p-1)/(q-2)).
     """
-    full = (1 << p) - 1
-    steps = takewhile(lambda reach: reach != full, islice(residue_steps(p, powers), p - 1))
-    bits = "".join("1" if reach & 1 else "0" for reach in steps)
-    k0 = len(bits)
-    return int(bits[::-1] + "0", 2) | full >> (k0 + 1) << (k0 + 1)
-
-
-def _small_order_witnesses(p: Prime, powers: list[int]) -> dict[int, tuple[int, ...]]:
-    """Candidates and witnesses for q <= 3, from a formula instead of a walk.
-
-    For q = 2 the only power is 1, and 0 < s < p ones never sum to 0 mod p.
-    For q = 3, a_0 + a_1 = s and a_0 + a_1 g = 0 force a_1 (g - 1) = -s mod p,
-    so a_1 = -s (g-1)^{-1} mod p is the only solution with a_1 in [0, p-1],
-    and s is a candidate iff a_1 <= s, with witness (s - a_1, a_1).
-    """
-    if len(powers) == 1:
-        return {}
-    inverse = pow(powers[1] - 1, -1, p)
-    return {s: (s - a1, a1) for s in range(1, p) if (a1 := -s * inverse % p) <= s}
-
-
-def _offset_descent(p: Prime, powers: list[int]) -> list[tuple[int, ...]]:
-    """BFS over residues by the offsets d_j = g^j - 1 (j = 1..q-2): the level
-    dist(u) that reaches u is the least number of offsets summing to u mod p.
-    wit[u] is the witness of s = -u mod p: a_0 = s - dist(u), negative if s is
-    no candidate, and a_j counts d_j along the first-j descent, which steps from
-    u to the u - d_j with the least j and dist(u - d_j) = dist(u) - 1. Ends once
-    every residue is reached; d_1 != 0 generates Z/p, so within p - 1 levels.
-
-    Each level is an int bitmask, like the residue walk: the residues first
-    reached by d_j are the frontier rotated by d_j, less every residue reached
-    so far. j runs in order, so each residue takes its least j. The work is
-    levels x (q-2) mask steps plus one tuple per residue.
-    """
-    offsets = [(g - 1) % p for g in powers[1:]]
-    wit = [(0,) * len(powers)] + [()] * (p - 1)
     frontier, unseen, level = 1, (1 << p) - 2, 0
     while unseen:
-        level, reached = level + 1, 0
-        for j, d in enumerate(offsets, 1):
-            new = (frontier << d | frontier >> (p - d)) & unseen
-            if not new:
-                continue
-            unseen ^= new
-            reached |= new
-            bits = format(new, "b")  # bit u of new is bits[top - u]
+        wide = 0
+        for e in steps:
+            wide |= frontier << e
+        new = (wide | wide >> p) & unseen
+        unseen ^= new
+        level += 1
+        yield level, frontier, new
+        frontier = new
+
+
+def _order_three(p: Prime, step: int):
+    """(s, level(s)) for s = 1..p-1 when q = 3, from a formula instead of a BFS.
+
+    a_0 + a_1 = s and a_0 + a_1 g = 0 force a_1 (g - 1) = -s mod p, so a_1 =
+    -s (g-1)^{-1} = s / e_1 mod p is the only solution with a_1 in [0, p-1].
+    It is level(s): s is a candidate iff a_1 <= s, with witness (s - a_1, a_1).
+    """
+    inverse = pow(step, -1, p)
+    return ((s, s * inverse % p) for s in range(1, p))
+
+
+def _offset_descent(p: Prime, steps: list[int]) -> list[tuple[int, ...]]:
+    """wit[s] for every s in Z/p: a_0 = s - level(s), negative if s is no
+    candidate, and a_j counts e_j along the first-j descent, which steps from s
+    to the s - e_j with the least j and level(s - e_j) = level(s) - 1.
+
+    The new sums of a level that e_j reaches are the frontier rotated by e_j,
+    less those a smaller j reached, so each s takes its least j and wit[s] is
+    wit[s - e_j] with one more e_j. The work is levels x (q-2) mask steps on
+    top of the BFS's, plus one tuple per residue.
+    """
+    wit = [(0,) * (len(steps) + 1)] + [()] * (p - 1)
+    for level, frontier, new in _levels(p, steps):
+        for j, e in enumerate(steps, 1):
+            first = (frontier << e | frontier >> (p - e)) & new
+            new ^= first
+            bits = format(first, "b")  # bit s of first is bits[top - s]
             top = len(bits) - 1
             i = bits.find("1")
             while i >= 0:
-                u = top - i
-                w = list(wit[u - d])  # u - d < 0 indexes u - d + p
-                w[0], w[j] = p - u - level, w[j] + 1  # s = -u mod p = p - u
-                wit[u] = tuple(w)
+                s = top - i
+                w = list(wit[s - e])  # s - e < 0 indexes s - e + p
+                w[0], w[j] = s - level, w[j] + 1
+                wit[s] = tuple(w)
                 i = bits.find("1", i + 1)
-        frontier = reached
     return wit
 
 
 def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
     """All s in [1, p-1] whose norm condition holds, with audit witnesses.
 
-    A sum qualifies iff residue 0 is reachable by exactly s allowed powers
-    g^0..g^{q-2}. Each witness is the greedy (lexicographically largest)
-    count vector. For q <= 3 the witnesses come from a formula and no DP runs.
-    For q >= 5 they come from one offset-distance BFS: sum a_j g^j = s +
-    sum_{j>=1} a_j d_j when the a_j sum to s, so s is a candidate iff
-    dist(-s) <= s, and the greedy takes a_0 = s - dist(-s) steps of g^0, then
-    the first-j descent from -s. The BFS takes levels x (q-2) bitmask steps
-    plus one tuple per residue, and each witness is the BFS's tuple for -s,
-    not a copy.
+    Each witness is the greedy (lexicographically largest) count vector: a_0 =
+    s - level(s) terms g^0, then the first-j descent from s. For q <= 3 the
+    witnesses come from a formula and no BFS runs. For q >= 5 each witness is
+    the BFS's tuple for s, not a copy.
     Conjugating (replacing g by g^i) permutes the same subgroup, so the
     answer does not depend on which primitive root generated g.
     """
-    powers = _norm_powers(p, q)
-    if q <= 3:
-        witnesses = _small_order_witnesses(p, powers)
+    steps = _norm_steps(p, q)
+    if q == 2:
+        witnesses = {}
+    elif q == 3:
+        witnesses = {s: (s - a1, a1) for s, a1 in _order_three(p, steps[0]) if a1 <= s}
     else:
-        wit = _offset_descent(p, powers)
-        witnesses = {s: w for s in range(1, p) if (w := wit[-s % p])[0] >= 0}
+        wit = _offset_descent(p, steps)
+        witnesses = {s: wit[s] for s in range(1, p) if wit[s][0] >= 0}
     return NormCandidateSet(p=p, q=Prime(q), witnesses=witnesses)
 
 
@@ -153,20 +147,22 @@ def generating_set_via_norm(p: Prime, q: Prime) -> FixtureRow:
     closure of the smaller coins on [0, p] misses it; no member past p is
     needed, and nothing is assumed about the table route.
 
-    No witness is built for any q. q = 2 has no candidates. For q = 3 bit s
-    is a_1 <= s, the formula of _small_order_witnesses; for q >= 5 it is bit
-    0 of the s-th mask of the walk, which stops at its first full mask. Audit
-    witnesses come from candidate_sums, which only JSON output calls.
+    No witness is built for any q. q = 2 has no candidates, since 0 < s < p
+    ones never sum to 0 mod p. For q = 3 bit s is a_1 <= s. For q >= 5 the
+    non-candidates are the s < level(s), which each BFS level picks out of its
+    new sums with a mask of level bits. Audit witnesses come from
+    candidate_sums, which only JSON output calls.
     """
-    powers = _norm_powers(p, q)
-    if q == 2:
-        candidates = 0
-    elif q == 3:
-        inverse = pow(powers[1] - 1, -1, p)
-        bits = "".join("1" if -s * inverse % p <= s else "0" for s in range(p - 1, 0, -1))
-        candidates = int(bits + "0", 2)
-    else:
-        candidates = _walk_candidates(p, powers)
+    steps = _norm_steps(p, q)
+    candidates = 0
+    if q == 3:
+        bits = "".join("1" if a1 <= s else "0" for s, a1 in _order_three(p, steps[0]))
+        candidates = int(bits[::-1] + "0", 2)
+    elif q > 3:
+        below = 0
+        for level, _, new in _levels(p, steps):
+            below |= new & ((1 << level) - 1)
+        candidates = ((1 << p) - 2) ^ below
     return FixtureRow(p, q, _generate(candidates | 1 << p | 1 << q, p))
 
 

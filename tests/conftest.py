@@ -325,23 +325,13 @@ def oracle_backtrack(p: int, powers, masks, s: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def oracle_kept_mask_candidate_sums(p: int, q: int):
-    """Norm candidates with greedy witnesses, by the saturating walk
-    and a backtrack through its k0 + 1 kept masks, the last one full.
-
-    This is the shortcut that the offset-distance table replaces, and the
-    argument for why the two agree. Put d_j = g^j - 1 for j = 1..q-2 and let
-    dist(u) be the least number of offsets summing to u mod p. A multiset of k
-    powers with counts a_j sums to k + sum_{j>=1} a_j d_j, so residue r is in
-    masks[k] iff dist(r - k) <= k. Stepping back from (k, r), the greedy takes
-    g^0 iff r - 1 is in masks[k-1], that is iff dist(r - k) <= k - 1, which
-    leaves u = r - k unchanged. Otherwise dist(u) = k, and it takes the least
-    j >= 1 with r - g^j in masks[k-1], that is with dist(u - d_j) = dist(u) - 1.
-    So s is a candidate iff dist(-s) <= s, a_0 = s - dist(-s), and a_1..a_{q-2}
-    count the first-j descent from -s: each step depends on u alone.
-    """
-    from hyperchar.modular import Prime, subgroup_of_order
-    from hyperchar.norm_criterion import NormCandidateSet
+def oracle_saturating_walk(p: int, q: int):
+    """(powers, masks, sums) of the saturating residue walk over the powers
+    g^0..g^{q-2}: masks[k] is the step-k mask for k = 0..k0, ending at the
+    first full mask or after p - 1 steps, and sums are the candidates s in
+    [1, p-1], bit 0 of masks[s] or any s past the full mask, since full +
+    powers = full."""
+    from hyperchar.modular import subgroup_of_order
 
     g = subgroup_of_order(p, q).generator
     powers = [pow(g, j, p) for j in range(q - 1)]
@@ -352,5 +342,27 @@ def oracle_kept_mask_candidate_sums(p: int, q: int):
         if reach == full:
             break
     sums = [s for s in range(1, p) if s >= len(masks) or masks[s] & 1]
+    return powers, masks, sums
+
+
+def oracle_kept_mask_candidate_sums(p: int, q: int):
+    """Norm candidates with greedy witnesses, by the saturating walk
+    and a backtrack through its k0 + 1 kept masks, the last one full.
+
+    This is the argument for why the level BFS of the norm route agrees with
+    the residue walk. Put e_j = 1 - g^j for j = 1..q-2 and let level(s) be the
+    least number of steps e_j summing to s mod p. A multiset of k powers with
+    counts a_j sums to k - sum_{j>=1} a_j e_j, so residue r is in masks[k] iff
+    level(k - r) <= k. Stepping back from (k, r), the greedy takes g^0 iff
+    r - 1 is in masks[k-1], that is iff level(k - r) <= k - 1, which leaves
+    t = k - r unchanged. Otherwise level(t) = k, and it takes the least j >= 1
+    with r - g^j in masks[k-1], that is with level(t - e_j) = level(t) - 1. So
+    s is a candidate iff level(s) <= s, a_0 = s - level(s), and a_1..a_{q-2}
+    count the first-j descent from s: each step depends on t alone.
+    """
+    from hyperchar.modular import Prime
+    from hyperchar.norm_criterion import NormCandidateSet
+
+    powers, masks, sums = oracle_saturating_walk(p, q)
     witnesses = {s: oracle_backtrack(p, powers, masks, s) for s in sums}
     return NormCandidateSet(p=Prime(p), q=Prime(q), witnesses=witnesses)

@@ -160,6 +160,9 @@ LARGE_PRIMES = (
 LARGE_CASES = [(p, n) for p in LARGE_PRIMES for n in range(2, 38)
                if (p - 1) % n == 0 and (n == 4 or is_prime(n))]
 
+# every (p, n) with p <= 500: 894 pairs
+SWEEP_PAIRS = subgroup_pairs(500)
+
 
 class TestCrossValidate:
     @pytest.mark.parametrize("p,n", LARGE_CASES)
@@ -168,6 +171,21 @@ class TestCrossValidate:
         # beyond the fixture and the brute-force oracles
         comparison = cross_validate(Prime(p), n)
         assert comparison.agree, comparison.results
+
+    @pytest.mark.parametrize("p,n", SWEEP_PAIRS)
+    def test_routes_agree_and_obey_theorems_that_need_no_route(self, p, n):
+        # every route that applies agrees with dp; then p ones sum to 0; the
+        # q-th roots of unity in G sum to 0 for a prime q | n; and by
+        # Cauchy-Davenport every s >= ceil((p-1)/(n-1)) is a member, so a
+        # generator g past that plus the least one m is m + (g - m)
+        comparison = cross_validate(Prime(p), n)
+        assert comparison.agree, comparison.results
+        generators = comparison.results["dp"]
+        member = regenerate(generators, p)
+        assert member[p]
+        assert all(member[q] for q in range(2, n + 1) if n % q == 0 and oracle_is_prime(q))
+        if n >= 2:
+            assert max(generators) < -(-(p - 1) // (n - 1)) + min(generators)
 
     def test_example_13_4(self):
         comparison = cross_validate(Prime(13), 4)
@@ -311,20 +329,6 @@ class TestTableRows:
     def test_rejects_tiny_p_max(self):
         with pytest.raises(ValueError):
             table_rows(1)
-
-    def test_rows_obey_theorems_that_need_no_route(self):
-        # p ones sum to 0; the q-th roots of unity in G sum to 0 for a prime
-        # q | n; and by Cauchy-Davenport every s >= ceil((p-1)/(n-1)) is a
-        # member, so a generator g past that plus the least one m is m + (g - m)
-        rows = table_rows(300)
-        assert len(rows) == 515
-        for row in rows:
-            p, n, generators = int(row.p), row.order, row.generators
-            member = regenerate(generators, p)
-            assert member[p], row
-            assert all(member[q] for q in range(2, n + 1) if n % q == 0 and oracle_is_prime(q)), row
-            if n >= 2:
-                assert max(generators) < -(-(p - 1) // (n - 1)) + min(generators), row
 
 
 class TestConjecture:

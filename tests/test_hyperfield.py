@@ -90,12 +90,12 @@ class TestOperations:
         v = data.draw(st.sampled_from(H.orbit(y)))
         assert H.hyperadd(u, v) == H.hyperadd(x, y)
 
-    def test_neg_is_the_unique_hyperinverse(self):
-        for p, n in subgroup_pairs(19):
-            H = QuotientHyperfield(p, n)
-            for x in H.classes:
-                inverses = [y for y in H.classes if 0 in H.hyperadd(x, y)]
-                assert inverses == [H.neg(x)]
+    @pytest.mark.parametrize("p,n", subgroup_pairs(59))
+    def test_neg_is_the_unique_hyperinverse(self, p, n):
+        H = QuotientHyperfield(p, n)
+        for x in H.classes:
+            inverses = [y for y in H.classes if 0 in H.hyperadd(x, y)]
+            assert inverses == [H.neg(x)]
 
 
 class TestAxioms:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -8,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperchar import characteristic, norm_criterion
-from hyperchar.characteristic import characteristic_bitset, minimal_generating_set
+from hyperchar.characteristic import FixtureRow, characteristic_bitset, minimal_generating_set
+from hyperchar.harness import load_fixtures, shipped_fixture_path
 from hyperchar.modular import Prime, subgroup_of_order
 from hyperchar.norm_criterion import candidate_sums, generating_set_via_norm, tuple_bound
 
 from conftest import (as_mask, coin_mask, fp_norm, oracle_candidate_sums,
                       oracle_convolution_generators, oracle_is_prime,
-                      oracle_kept_mask_candidate_sums, reduce_cyclotomic_coeffs, regenerate)
+                      oracle_kept_mask_candidate_sums, oracle_saturating_walk,
+                      reduce_cyclotomic_coeffs, regenerate)
 
 PRIME_ORDER_PAIRS = [
     (p, q)
@@ -42,6 +45,18 @@ KEPT_MASK_PAIRS_1000 = [
     if q != 3 and oracle_is_prime(q) and (p - 1) % q == 0
 ]
 
+# every prime q >= 5 dividing p - 1 for every prime p < 2000
+SATURATING_PAIRS_2000 = [
+    (p, q)
+    for p in range(3, 2000)
+    if oracle_is_prime(p)
+    for q in range(5, p)
+    if oracle_is_prime(q) and (p - 1) % q == 0
+]
+
+# the rows of the shipped fixture whose order is prime
+PRIME_ORDER_ROWS = [row for row in load_fixtures(shipped_fixture_path()) if oracle_is_prime(row.order)]
+
 # the norm-route instances of the genset-large benchmark workload
 GENSET_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "genset.jsonl"
 BENCH_NORM_PAIRS = sorted({
@@ -49,21 +64,6 @@ BENCH_NORM_PAIRS = sorted({
     for record in map(json.loads, GENSET_REFERENCE.read_text().splitlines())
     if record["route"] == "norm"
 })
-
-
-@pytest.fixture
-def steps_drawn(monkeypatch):
-    """Masks the norm route draws from residue_steps, one entry per step."""
-    original = norm_criterion.residue_steps
-    drawn = []
-
-    def counting(*args):
-        for reach in original(*args):
-            drawn.append(reach)
-            yield reach
-
-    monkeypatch.setattr(norm_criterion, "residue_steps", counting)
-    return drawn
 
 
 @pytest.fixture
@@ -221,19 +221,48 @@ class TestCandidateSums:
         assert len(cand.sums) > 0 and peak <= 1.25 * retained, (peak, retained)
 
 
-class TestSaturatingWalk:
-    @pytest.mark.parametrize("p,q", ALL_PRIME_ORDERS_400 + BENCH_NORM_PAIRS)
-    def test_stops_at_saturation(self, steps_drawn, p, q):
-        # q <= 3 runs no DP; q >= 5 is full by step ceil((p-1)/(q-2)) (Cauchy-Davenport)
-        limit = 0 if q <= 3 else math.ceil((p - 1) / (q - 2))
+class TestLevelBfs:
+    @pytest.mark.parametrize("p,q", SATURATING_PAIRS_2000)
+    def test_candidates_match_saturating_walk(self, closure_coins, p, q):
         generating_set_via_norm(Prime(p), Prime(q))
-        assert len(steps_drawn) <= limit, (p, q)
+        sums = oracle_saturating_walk(p, q)[2]
+        assert closure_coins == [coin_mask((p, q, *sums))]
 
-    @pytest.mark.parametrize("p,q", ALL_PRIME_ORDERS_400 + BENCH_NORM_PAIRS)
-    def test_witnesses_draw_no_mask(self, steps_drawn, p, q):
-        # candidate_sums reads the offset-distance table, never the residue walk
+    @pytest.mark.parametrize("p,q", [(p, q) for p, q in SATURATING_PAIRS_2000 if p < 1000])
+    def test_ends_by_the_cauchy_davenport_level(self, monkeypatch, p, q):
+        # the q - 1 sums 0, e_1, ..., e_{q-2} of at most one step are distinct,
+        # so by Cauchy-Davenport level k covers min(p, k(q-2)+1) residues
+        original, drawn = norm_criterion._levels, []
+
+        def counting(*args):
+            count = 0
+            for level in original(*args):
+                count += 1
+                yield level
+            drawn.append(count)
+
+        monkeypatch.setattr(norm_criterion, "_levels", counting)
+        generating_set_via_norm(Prime(p), Prime(q))
         candidate_sums(Prime(p), Prime(q))
-        assert steps_drawn == [], (p, q)
+        assert len(drawn) == 2
+        assert max(drawn) <= math.ceil((p - 1) / (q - 2)), (drawn, p, q)
+
+    @pytest.mark.parametrize("row", PRIME_ORDER_ROWS, ids=FixtureRow.as_line)
+    def test_no_route_runs_the_residue_walk(self, monkeypatch, row):
+        # the norm route shares no kernel with the dp, so the two routes agree
+        # as independent computations
+        def forbidden(*args):
+            raise AssertionError("the norm route ran the dp's residue walk")
+
+        original = characteristic.residue_steps
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("hyperchar"):
+                for name in [k for k, v in vars(module).items() if v is original]:
+                    monkeypatch.setattr(module, name, forbidden)
+        p, q = row.p, Prime(row.order)
+        assert generating_set_via_norm(p, q) == row
+        coins = (p, q, *candidate_sums(p, q).sums)
+        assert oracle_convolution_generators(as_mask(regenerate(coins, 2 * p))) == row.generators
 
 
 class TestGeneratingSetViaNorm:
@@ -282,7 +311,7 @@ class TestGeneratingSetViaNorm:
         def forbidden(*args):
             raise AssertionError("the norm route built a witness")
 
-        monkeypatch.setattr(norm_criterion, "_small_order_witnesses", forbidden)
+        monkeypatch.setattr(norm_criterion, "candidate_sums", forbidden)
         monkeypatch.setattr(norm_criterion, "_offset_descent", forbidden)
         generating_set_via_norm(Prime(p), Prime(q))
 
