@@ -121,6 +121,30 @@ def residue_steps(p: int, elements: Sequence[int]) -> Iterator[int]:
         yield reach
 
 
+def _levels(p: Prime, steps: list[int]):
+    """BFS over Z/p from 0 by the steps: yield (level, frontier, new) for level
+    = 1, 2, ..., where new holds the s first reached at that level and frontier
+    those of the level before, each as an int bitmask.
+
+    A level shifts the frontier once per step into one wide int and folds it
+    once: every step is in [1, p-1], so a sum wraps past p at most once. With
+    k distinct nonzero steps the k + 1 sums of at most one step are distinct,
+    so by Cauchy-Davenport the sums of at most j steps cover min(p, jk+1)
+    residues: the BFS ends by level ceil((p-1)/k). That is k = q - 2 for the
+    norm route's steps and k = n - 1 for the kp criterion's.
+    """
+    frontier, unseen, level = 1, (1 << p) - 2, 0
+    while unseen:
+        wide = 0
+        for e in steps:
+            wide |= frontier << e
+        new = (wide | wide >> p) & unseen
+        unseen ^= new
+        level += 1
+        yield level, frontier, new
+        frontier = new
+
+
 def characteristic_bitset(p: Prime, n: int) -> CharacteristicSet:
     """Exact membership table of char(F_p/G) for G the order-n unit subgroup,
     on the window [0, 2p].
@@ -187,26 +211,19 @@ def minimal_generating_set(S: CharacteristicSet) -> FixtureRow:
     return FixtureRow(S.p, S.order, monoid_minimal_generators(S.mask))
 
 
-def _short_sums(G: UnitSubgroup, s: int) -> int:
-    """Bit t says t is a sum of at most s terms g - 1, g in G (g = 1 adds 0)."""
-    sums = 1
-    for _ in range(s):
-        wide = 0
-        for g in G.elements:
-            wide |= sums << (g - 1)
-        sums = wide
-    return sums
-
-
 def kp_representation_check(p: Prime, G: UnitSubgroup, s: int) -> bool:
     """Decide membership of s in char(F_p/G) without the residue DP.
 
     s is a member iff some deficit t = kp - s >= 0 is a sum of at most s terms
     g - 1 (g in G, g > 1): a zero-sum multiset of s elements, b_i copies of
-    g_i, sums to some kp, and conversely. Trivial G has no terms, so s is a
-    member iff p | s. By Cauchy-Davenport the s-fold sumset of G has at least
+    g_i, sums to some kp, and conversely. Reduced mod p, s is a member iff
+    level(s mod p) <= s, where level(r) is the fewest steps 1 - g (g in G,
+    g != 1) that sum to r mod p: level 0 for r = 0, else the BFS level of
+    _levels that first reaches r. Trivial G has no steps, so s is a member iff
+    p | s. By Cauchy-Davenport the s-fold sumset of G has at least
     min(p, s(n-1)+1) residues, so every s >= ceil((p-1)/(n-1)) is a member
-    with no mask, and the mask of short sums needs at most about p^2 bits.
+    with no BFS; below it s < p, and the BFS stops once its level passes s,
+    each level a mask of p bits.
     """
     if G.p != p:
         raise ValueError(f"G is a subgroup mod {G.p}, not mod {p}")
@@ -214,7 +231,8 @@ def kp_representation_check(p: Prime, G: UnitSubgroup, s: int) -> bool:
         raise ValueError(f"s must be nonnegative, got {s}")
     if G.is_trivial:
         return s % p == 0
-    if s * (G.order - 1) >= p - 1:
+    if s * (G.order - 1) >= p - 1 or s == 0:
         return True
-    sums = _short_sums(G, s)
-    return any(sums >> t & 1 for t in range(-s % p, sums.bit_length(), p))  # t = kp - s
+    steps = [(1 - g) % p for g in G.elements if g != 1]
+    levels = (level for level, _, new in _levels(p, steps) if new >> s & 1 or level > s)
+    return next(levels) <= s

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .characteristic import FixtureRow, _generate
+from .characteristic import FixtureRow, _generate, _levels
 from .modular import Prime, subgroup_generator
 
 
@@ -54,29 +54,6 @@ def _norm_steps(p: Prime, q: int) -> list[int]:
         raise ValueError(f"q = {q} does not divide p - 1 = {p - 1}")
     g = subgroup_generator(p, int(q))
     return [(1 - pow(g, j, p)) % p for j in range(1, q - 1)]
-
-
-def _levels(p: Prime, steps: list[int]):
-    """BFS over Z/p from 0 by the steps: yield (level, frontier, new) for level
-    = 1, 2, ..., where new holds the s first reached at that level and frontier
-    those of the level before, each as an int bitmask.
-
-    A level shifts the frontier once per step into one wide int and folds it
-    once: every step is in [1, p-1], so a sum wraps past p at most once. The
-    q - 1 residues 0, e_1, ..., e_{q-2} are distinct, so by Cauchy-Davenport
-    the sums of at most k steps cover min(p, k(q-2)+1) residues: the BFS ends
-    by level ceil((p-1)/(q-2)).
-    """
-    frontier, unseen, level = 1, (1 << p) - 2, 0
-    while unseen:
-        wide = 0
-        for e in steps:
-            wide |= frontier << e
-        new = (wide | wide >> p) & unseen
-        unseen ^= new
-        level += 1
-        yield level, frontier, new
-        frontier = new
 
 
 def _order_three(p: Prime, step: int):

@@ -14,6 +14,7 @@ from hyperchar.characteristic import (
     monoid_minimal_generators,
     residue_steps,
 )
+from hyperchar.closed_form import gen_set_closed_form
 from hyperchar.modular import Prime, subgroup_of_order
 
 from conftest import (
@@ -338,16 +339,41 @@ class TestKpRepresentation:
         for s in (threshold - 1, threshold, last_tabled - 1, last_tabled):
             assert kp_representation_check(prime, G, s) == (s in S), (p, n, s)
 
+    def test_level_walk_stops_by_the_cauchy_davenport_level(self, monkeypatch):
+        # the largest s below the shortcut draws at most ceil((p-1)/(n-1))
+        # levels of p bits, so large p is cheap
+        original, drawn = characteristic._levels, []
+
+        def counting(*args):  # kp leaves the walk unfinished, so count as it goes
+            drawn.append(0)
+            for level in original(*args):
+                drawn[-1] += 1
+                yield level
+
+        monkeypatch.setattr(characteristic, "_levels", counting)
+        for p, n in [(p, n) for p, n in subgroup_pairs(199) if n >= 2]:
+            last_tabled = -(-(p - 1) // (n - 1)) - 1
+            drawn.clear()
+            kp_representation_check(Prime(p), subgroup_of_order(Prime(p), n), last_tabled)
+            assert len(drawn) == 1 and 1 <= drawn[0] <= last_tabled + 1, (p, n, drawn)
+        for p, n in [(10007, 2), (20011, 2), (10009, 3), (10009, 4)]:
+            prime = Prime(p)
+            G = subgroup_of_order(prime, n)
+            last_tabled = -(-(p - 1) // (n - 1)) - 1
+            member = regenerate(gen_set_closed_form(prime, n).generators, last_tabled)
+            for s in (last_tabled - 1, last_tabled):
+                assert kp_representation_check(prime, G, s) == member[s], (p, n, s)
+
     def test_large_count_needs_no_table(self, monkeypatch):
-        # without the Cauchy-Davenport shortcut this needs a mask of about
-        # s * max(G) bits, built in s rounds of |G| shifts
-        original, calls = characteristic._short_sums, []
+        # without the Cauchy-Davenport shortcut this runs the level BFS over
+        # Z/421 until the level passes s
+        original, calls = characteristic._levels, []
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(characteristic, "_short_sums", counting)
+        monkeypatch.setattr(characteristic, "_levels", counting)
         assert kp_representation_check(Prime(421), subgroup_of_order(Prime(421), 210), 840)
         assert calls == []
 
@@ -362,6 +388,6 @@ class TestKpRepresentation:
             kp_representation_check(Prime(7), G, -1)
 
     def test_rejects_subgroup_of_another_prime(self, monkeypatch):
-        monkeypatch.setattr(characteristic, "_short_sums", None)  # no work before the check
+        monkeypatch.setattr(characteristic, "_levels", None)  # no work before the check
         with pytest.raises(ValueError, match="mod 13, not mod 7"):
             kp_representation_check(Prime(7), subgroup_of_order(Prime(13), 3), 2)
