@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .modular import Prime, UnitSubgroup, subgroup_of_order
+from .modular import Prime, UnitSubgroup, check_order, subgroup_of_order
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,7 @@ class FixtureRow:
     generators: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.order < 1 or (self.p - 1) % self.order != 0:
-            raise ValueError(f"order {self.order} does not divide {self.p} - 1")
+        check_order(self.p, self.order)
         if list(self.generators) != sorted(set(self.generators)):
             raise ValueError("generators must be strictly increasing")
         if any(g < 1 for g in self.generators):

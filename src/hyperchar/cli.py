@@ -84,6 +84,14 @@ def cmd_genset(args: argparse.Namespace) -> int:
         requested = [args.route]
     else:
         return _fail(EXIT_INAPPLICABLE, ROUTES[args.route].inapplicable.format(n=n))
+    for name in [name for name in requested if p > ROUTES[name].max_p]:
+        limit = f"the {name} route takes p <= {ROUTES[name].max_p}, got p={int(p)}"
+        if args.route != "all":
+            return _fail(EXIT_BAD_ARGS, limit)
+        print(f"note: skipped {name}: {limit}", file=sys.stderr)
+        requested.remove(name)
+    if not requested:
+        return _fail(EXIT_BAD_ARGS, f"no route for n={n} takes p={int(p)}")
 
     distinct = set()
     for name in requested:

@@ -8,7 +8,7 @@ closed form here and are rejected so callers can fall back to another route.
 from __future__ import annotations
 
 from .characteristic import FixtureRow
-from .modular import Prime, cornacchia_two_squares, eisenstein_solutions
+from .modular import Prime, check_order, cornacchia_two_squares, eisenstein_solutions
 
 
 class ClosedFormUnavailable(ValueError):
@@ -29,8 +29,7 @@ def gen_set_closed_form(p: Prime, n: int) -> FixtureRow:
     """
     if not isinstance(p, Prime):
         Prime(p)
-    if n < 1 or (p - 1) % n != 0:
-        raise ValueError(f"no subgroup of order {n} in (Z/{p}Z)^x")
+    check_order(p, n)
     if n == 1:
         return FixtureRow(p, n, (int(p),))
     if n == 2:

@@ -21,30 +21,38 @@ from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .characteristic import FixtureRow, braced, characteristic_bitset, minimal_generating_set
 from .closed_form import gen_set_closed_form
-from .modular import Prime, is_prime
+from .modular import MAX_INPUT, Prime, is_prime
 from .norm_criterion import candidate_sums, generating_set_via_norm
 
 
 class Route(NamedTuple):
     """Which orders n a route covers, how it runs (to the row of (p, n)), the
-    error text (formatted with n) for an order it does not cover, and any JSON
-    audit witnesses."""
+    error text (formatted with n) for an order it does not cover, any JSON
+    audit witnesses, and the largest p it takes (by default every p < 2^63)."""
 
     applies: Callable[[int], bool]
     run: Callable[[Prime, int], FixtureRow]
     inapplicable: str = ""
     witnesses: Optional[Callable[[Prime, int], dict]] = None
+    max_p: int = MAX_INPUT
 
+
+# dp and norm step p-bit masks up to about p times: `genset --n 2 --route dp`
+# took 9.3 s at p = 239999 and 14 s at 250007 (Python 3.11.7, 2 cores). A dp
+# step costs more for larger n; a cost limit per (p, n) waits for the
+# saturating walk, which stops after about p/(n-1) steps.
+WALK_MAX_P = 240_000
 
 # The one table of routes. The lambdas look the route functions up at call
 # time, so rebinding a module name (as a tracer does) reaches every caller.
 ROUTES = {
-    "dp": Route(lambda n: True, lambda p, n: minimal_generating_set(characteristic_bitset(p, n))),
+    "dp": Route(lambda n: True, lambda p, n: minimal_generating_set(characteristic_bitset(p, n)),
+                max_p=WALK_MAX_P),
     "closed": Route(lambda n: n in (1, 2, 3, 4), lambda p, n: gen_set_closed_form(p, n),
                     "closed-form route covers orders 1..4 only, got n={n}"),
     "norm": Route(is_prime, lambda p, n: generating_set_via_norm(p, Prime(n)),
                   "norm route covers prime orders only, got n={n}",
-                  lambda p, n: candidate_sums(p, Prime(n)).witnesses),
+                  lambda p, n: candidate_sums(p, Prime(n)).witnesses, WALK_MAX_P),
 }
 
 

@@ -70,8 +70,7 @@ class UnitSubgroup:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.order < 1 or (self.p - 1) % self.order != 0:
-            raise ValueError(f"order {self.order} does not divide {self.p} - 1")
+        check_order(self.p, self.order)
         if len(self.elements) != self.order or 1 not in self.elements:
             raise ValueError("element list does not match the subgroup order")
 
@@ -142,11 +141,16 @@ def find_primitive_root(p: Prime) -> int:
     raise AssertionError(f"no primitive root found for prime {p}")
 
 
+def check_order(p: int, n: int) -> None:
+    """Raise ValueError unless n >= 1 divides p - 1, as F_p/G needs."""
+    if n < 1 or (p - 1) % n != 0:
+        raise ValueError(f"no subgroup of order {n} in (Z/{p}Z)^x: {n} does not divide {p - 1}")
+
+
 def subgroup_generator(p: Prime, n: int) -> int:
     """g^((p-1)/n) for g = find_primitive_root(p): the canonical generator of
     the order-n subgroup, without building its elements."""
-    if n < 1 or (p - 1) % n != 0:
-        raise ValueError(f"no subgroup of order {n} in (Z/{p}Z)^x: {n} does not divide {p - 1}")
+    check_order(p, n)
     return pow(find_primitive_root(p), (p - 1) // n, p)
 
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .characteristic import FixtureRow, _generate, _levels
-from .modular import Prime, subgroup_generator
+from .modular import Prime, check_order, subgroup_generator
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,8 @@ def _norm_steps(p: Prime, q: int) -> list[int]:
 
     Raises ValueError unless q is a prime divisor of p - 1.
     """
-    q = Prime(q)
-    if (p - 1) % q != 0:
-        raise ValueError(f"q = {q} does not divide p - 1 = {p - 1}")
-    g = subgroup_generator(p, int(q))
+    check_order(p, q)
+    g = subgroup_generator(p, Prime(q))
     return [(1 - pow(g, j, p)) % p for j in range(1, q - 1)]
 
 
@@ -150,8 +148,7 @@ def tuple_bound(p: Prime, q: Prime) -> int:
     multiple of p too small to reach, summed in closed form. Exact integer
     arithmetic throughout.
     """
-    if (p - 1) % q != 0:
-        raise ValueError(f"q = {q} does not divide p - 1 = {p - 1}")
+    check_order(p, q)
     total = math.comb(p + q - 2, q - 1)
     removed = sum(math.comb(q - 2 + k * q, q - 2) for k in range(0, (p - q - 1) // q + 1))
     return total - removed

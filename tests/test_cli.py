@@ -12,7 +12,7 @@ import pytest
 
 from hyperchar import cli
 from hyperchar.cli import build_parser, main
-from hyperchar.harness import load_fixtures, parse_fixture_line, shipped_fixture_path
+from hyperchar.harness import WALK_MAX_P, load_fixtures, parse_fixture_line, shipped_fixture_path
 from hyperchar.hyperfield import check_axioms
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -110,6 +110,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def no_walks(monkeypatch):
+    """residue_steps and _levels raise in every hyperchar module that binds
+    them, so a route run past its max_p fails before it allocates a p-bit mask."""
+    def refuse(*args):
+        raise AssertionError(f"a residue walk ran at p={args[0]}")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hyperchar"):
+            for walk in ("residue_steps", "_levels"):
+                if hasattr(module, walk):
+                    monkeypatch.setattr(module, walk, refuse)
+
+
 class TestGenset:
     def test_plain_dp(self, capsys):
         code, out, _ = run_cli(capsys, "genset", "--p", "7", "--n", "3", "--route", "dp")
@@ -143,6 +157,27 @@ class TestGenset:
         code, out, _ = run_cli(capsys, "genset", "--p", "31", "--n", "6", "--route", "all")
         assert code == 0
         assert [line.split()[0] for line in out.splitlines()] == ["dp"]
+
+    def test_route_all_skips_routes_past_their_limit(self, capsys, no_walks):
+        code, out, err = run_cli(capsys, "genset", "--p", "1000000000039", "--n", "3",
+                                 "--route", "all")
+        assert (code, out) == (0, "closed {3, 1549316, 1869973}\n")
+        assert err.splitlines() == [
+            f"note: skipped {name}: the {name} route takes p <= {WALK_MAX_P}, got p=1000000000039"
+            for name in ("dp", "norm")]
+
+    @pytest.mark.parametrize("route, p, n", [
+        ("dp", "1000000000039", "3"),
+        ("norm", "1000000000061", "5"),
+        ("all", "1000000000061", "5"),  # only dp and norm cover n = 5
+        ("dp", "240007", "2"),  # the least prime past WALK_MAX_P
+        ("norm", "240007", "2"),
+    ])
+    def test_route_past_its_limit_is_bad_args(self, capsys, no_walks, route, p, n):
+        code, out, err = run_cli(capsys, "genset", "--p", p, "--n", n, "--route", route)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"p <= {WALK_MAX_P}, got p={p}\n" if route != "all"
+                            else f"error: no route for n={n} takes p={p}\n")
 
     def test_composite_p_is_bad_args(self, capsys):
         code, _, err = run_cli(capsys, "genset", "--p", "9", "--n", "2")

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperchar import characteristic_bitset, gen_set_closed_form, generating_set_via_norm
+from hyperchar.characteristic import FixtureRow
 from hyperchar.modular import (
     EisensteinPair,
     Prime,
     TwoSquares,
+    UnitSubgroup,
     cornacchia_two_squares,
     eisenstein_solutions,
     find_primitive_root,
@@ -20,6 +22,7 @@ from hyperchar.modular import (
     subgroup_generator,
     subgroup_of_order,
 )
+from hyperchar.norm_criterion import candidate_sums, tuple_bound
 
 from conftest import (
     SMALL_PRIMES,
@@ -94,6 +97,31 @@ class TestPrimitiveRoot:
 def test_composite_p_is_rejected(route, p, n):
     with pytest.raises(ValueError, match=f"^{p} is not prime$"):
         route(p, n)
+
+
+# F_p/G exists only for n | p - 1; every entry point raises modular.check_order's
+# one message for any other n
+ORDER_RULE_CALLS = {
+    "FixtureRow": lambda p, n: FixtureRow(p, n, (2,)),
+    "UnitSubgroup": lambda p, n: UnitSubgroup(p, n, 1, (1,)),
+    "subgroup_of_order": subgroup_of_order,
+    "characteristic_bitset": characteristic_bitset,
+    "gen_set_closed_form": gen_set_closed_form,
+    "candidate_sums": candidate_sums,
+    "generating_set_via_norm": generating_set_via_norm,
+    "tuple_bound": tuple_bound,
+}
+
+
+@pytest.mark.parametrize("p,n", [(7, 4), (13, 5)])
+def test_order_rule_has_one_message(p, n):
+    messages = {}
+    for name, call in ORDER_RULE_CALLS.items():
+        with pytest.raises(ValueError) as raised:
+            call(Prime(p), n)
+        messages[name] = str(raised.value)
+    expected = f"no subgroup of order {n} in (Z/{p}Z)^x: {n} does not divide {p - 1}"
+    assert messages == dict.fromkeys(ORDER_RULE_CALLS, expected)
 
 
 class TestSubgroup:
