@@ -37,22 +37,28 @@ class Route(NamedTuple):
     max_p: int = MAX_INPUT
 
 
-# dp and norm step p-bit masks up to about p times: `genset --n 2 --route dp`
-# took 9.3 s at p = 239999 and 14 s at 250007 (Python 3.11.7, 2 cores). A dp
-# step costs more for larger n; a cost limit per (p, n) waits for the
+# Each walking route takes p up to where its small orders finish `genset` in
+# about 10 s (Python 3.11.7, 2 cores). dp: n = 2 took 9.3 s at p = 239999 and
+# 14 s at 250007. norm: JSON output, which builds a witness per residue, took
+# 8.1-9.0 s at q = 5, 7, 11, 13 near p = 1.5e6 and 11-14 s near 2e6; plain
+# output at q = 2, 3, 5, 7 took under 0.5 s near 1.5e6. Both limits bound p
+# alone: a dp step shifts once per subgroup element and a norm BFS level once
+# per step 1 - g^j, so large orders cost more (norm at q = (p-1)/2 took 4.1 s
+# at p = 240587 and 135 s at 1000667). A cost limit per (p, n) waits for the
 # saturating walk, which stops after about p/(n-1) steps.
-WALK_MAX_P = 240_000
+DP_MAX_P = 240_000
+NORM_MAX_P = 1_500_000
 
 # The one table of routes. The lambdas look the route functions up at call
 # time, so rebinding a module name (as a tracer does) reaches every caller.
 ROUTES = {
     "dp": Route(lambda n: True, lambda p, n: minimal_generating_set(characteristic_bitset(p, n)),
-                max_p=WALK_MAX_P),
+                max_p=DP_MAX_P),
     "closed": Route(lambda n: n in (1, 2, 3, 4), lambda p, n: gen_set_closed_form(p, n),
                     "closed-form route covers orders 1..4 only, got n={n}"),
     "norm": Route(is_prime, lambda p, n: generating_set_via_norm(p, Prime(n)),
                   "norm route covers prime orders only, got n={n}",
-                  lambda p, n: candidate_sums(p, Prime(n)).witnesses, WALK_MAX_P),
+                  lambda p, n: candidate_sums(p, Prime(n)).witnesses, NORM_MAX_P),
 }
 
 

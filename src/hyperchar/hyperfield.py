@@ -122,38 +122,16 @@ def _first_failure(tuples: Iterable[tuple], holds: Callable[..., bool]) -> list[
     return []
 
 
-def _cyclic_failure(nonzero: list[int], one: int, mul: Callable[[int, int], int]):
-    """[] if mul makes the c nonzero classes a cyclic group: for some h the
-    powers h^0 = one, h^(k+1) = mul(h^k, h), k < c, are the nonzero classes,
-    and mul(h^i, h^j) = h^((i+j) mod c) for all i and j, so mul adds
-    exponents mod c and is associative. Else the first pair (h^i, h^j) that
-    breaks the rule, or None if no h has such powers. The pairs take c^2
-    products.
-    """
-    c = len(nonzero)
-    for h in nonzero:
-        log, x = {}, one
-        while x not in log and len(log) < c:
-            log[x] = len(log)
-            x = mul(x, h)
-        if sorted(log) == nonzero:
-            break
-    else:
-        return None
-    powers = list(log)
-    return _first_failure(product(powers, repeat=2),
-                          lambda x, y: mul(x, y) == powers[(log[x] + log[y]) % c])
-
-
 def check_axioms(H: QuotientHyperfield) -> AxiomReport:
     """Check every hyperfield axiom on every tuple of classes.
 
     Exhaustive over pairs and triples, so only sensible at desk scale. Each
     failed axiom records its first witness, except unique_inverses, which
-    records every class without exactly one inverse. The product is checked
-    as a cyclic group (see _cyclic_failure), once every nonzero class has an
-    inverse and commutativity holds: a cyclic group is abelian, so a product
-    that does not commute has already failed commutativity.
+    records every class without exactly one inverse. Once every nonzero class
+    has an inverse and the product commutes, the product is checked for
+    associativity on every triple of nonzero classes, so multiplicative_inverses
+    holds iff the nonzero classes form an abelian group; a product that does
+    not commute has already failed commutativity.
     """
     cls = H.classes
     zero, one, mul = H.zero, H.one, H.hypermul
@@ -162,24 +140,24 @@ def check_axioms(H: QuotientHyperfield) -> AxiomReport:
     neg = {x: ys[0] for x, ys in inverses.items() if len(ys) == 1}
     singles = [(x,) for x in cls]
     nonzero = [x for x in cls if x != zero]
-    commutativity = _first_failure(
-        product(cls, repeat=2),
-        lambda x, y: add[x, y] == add[y, x] and mul(x, y) == mul(y, x),
-    )
     # nonzero classes must form an abelian group with identity one != zero
     units = [(zero, one)] if one == zero else _first_failure(
         ((x,) for x in nonzero),
         lambda x: mul(x, one) == x and any(mul(x, y) == one for y in nonzero),
     )
-    if not units and not commutativity:
-        units = _cyclic_failure(nonzero, one, mul)
+    if not units and all(mul(x, y) == mul(y, x) for x, y in product(nonzero, repeat=2)):
+        units = _first_failure(product(nonzero, repeat=3),
+                               lambda x, y, z: mul(mul(x, y), z) == mul(x, mul(y, z)))
 
     # axiom name -> witnesses, in the order they are recorded; None means the
     # axiom could not be checked, which fails it without a witness
     found = {
         "identity": _first_failure(singles, lambda x: add[x, zero] == {x} == add[zero, x]),
         "unique_inverses": [(x, ys) for x, ys in inverses.items() if len(ys) != 1],
-        "commutativity": commutativity,
+        "commutativity": _first_failure(
+            product(cls, repeat=2),
+            lambda x, y: add[x, y] == add[y, x] and mul(x, y) == mul(y, x),
+        ),
         # z in x + y must give x in z + (-y), with -y read off the addition table
         "reversibility": _first_failure(
             ((x, y, z) for x, y in product(cls, repeat=2) for z in add[x, y]),

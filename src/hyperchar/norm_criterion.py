@@ -49,9 +49,8 @@ def _norm_steps(p: Prime, q: int) -> list[int]:
 
     Raises ValueError unless q is a prime divisor of p - 1.
     """
-    check_order(p, q)
-    g = subgroup_generator(p, Prime(q))
-    return [(1 - pow(g, j, p)) % p for j in range(1, q - 1)]
+    g = subgroup_generator(p, q)  # the order rule, checked before primality
+    return [(1 - pow(g, j, p)) % p for j in range(1, Prime(q) - 1)]
 
 
 def _order_three(p: Prime, step: int):

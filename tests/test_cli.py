@@ -12,7 +12,7 @@ import pytest
 
 from hyperchar import cli
 from hyperchar.cli import build_parser, main
-from hyperchar.harness import WALK_MAX_P, load_fixtures, parse_fixture_line, shipped_fixture_path
+from hyperchar.harness import ROUTES, load_fixtures, parse_fixture_line, shipped_fixture_path
 from hyperchar.hyperfield import check_axioms
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -158,25 +158,28 @@ class TestGenset:
         assert code == 0
         assert [line.split()[0] for line in out.splitlines()] == ["dp"]
 
-    def test_route_all_skips_routes_past_their_limit(self, capsys, no_walks):
-        code, out, err = run_cli(capsys, "genset", "--p", "1000000000039", "--n", "3",
-                                 "--route", "all")
-        assert (code, out) == (0, "closed {3, 1549316, 1869973}\n")
+    @pytest.mark.parametrize("p, n, out, skipped", [
+        ("1000000000039", "3", "closed {3, 1549316, 1869973}\n", ("dp", "norm")),
+        ("240007", "2", "closed {2, 240007}\nnorm {2, 240007}\n", ("dp",)),
+    ], ids=["closed_left", "closed_and_norm_left"])
+    def test_route_all_skips_routes_past_their_limit(self, capsys, no_walks, p, n, out, skipped):
+        code, printed, err = run_cli(capsys, "genset", "--p", p, "--n", n, "--route", "all")
+        assert (code, printed) == (0, out)
         assert err.splitlines() == [
-            f"note: skipped {name}: the {name} route takes p <= {WALK_MAX_P}, got p=1000000000039"
-            for name in ("dp", "norm")]
+            f"note: skipped {name}: the {name} route takes p <= {ROUTES[name].max_p}, got p={p}"
+            for name in skipped]
 
     @pytest.mark.parametrize("route, p, n", [
         ("dp", "1000000000039", "3"),
         ("norm", "1000000000061", "5"),
         ("all", "1000000000061", "5"),  # only dp and norm cover n = 5
-        ("dp", "240007", "2"),  # the least prime past WALK_MAX_P
-        ("norm", "240007", "2"),
+        ("dp", "240007", "2"),  # the least prime past dp's max_p
+        ("norm", "1500007", "2"),  # the least prime past norm's max_p
     ])
     def test_route_past_its_limit_is_bad_args(self, capsys, no_walks, route, p, n):
         code, out, err = run_cli(capsys, "genset", "--p", p, "--n", n, "--route", route)
         assert (code, out) == (2, "")
-        assert err.endswith(f"p <= {WALK_MAX_P}, got p={p}\n" if route != "all"
+        assert err.endswith(f"p <= {ROUTES[route].max_p}, got p={p}\n" if route != "all"
                             else f"error: no route for n={n} takes p={p}\n")
 
     def test_composite_p_is_bad_args(self, capsys):
