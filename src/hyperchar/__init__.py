@@ -21,6 +21,7 @@ from .harness import (
     ConjectureWitness,
     FixtureParseError,
     RouteComparison,
+    RouteLimitError,
     ValidationReport,
     conjecture_scan,
     cross_validate,
@@ -63,6 +64,7 @@ __all__ = [
     "Prime",
     "QuotientHyperfield",
     "RouteComparison",
+    "RouteLimitError",
     "TwoSquares",
     "UnitSubgroup",
     "ValidationReport",

@@ -14,16 +14,16 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import Optional
 
 from .harness import (
     ROUTES,
     FixtureParseError,
     FixtureRow,
-    applicable_routes,
+    RouteLimitError,
     braced,
     conjecture_scan,
+    cross_validate,
     load_fixtures,
     prime_orders,
     shipped_fixture_path,
@@ -78,37 +78,20 @@ def cmd_genset(args: argparse.Namespace) -> int:
     if n < 1 or (p - 1) % n != 0:
         return _fail(EXIT_BAD_ARGS, f"--n must divide p-1 = {p - 1}, got {n}")
 
-    if args.route == "all":
-        requested = sorted(applicable_routes(n))  # printed in name order
-    elif ROUTES[args.route].applies(n):
-        requested = [args.route]
-    else:
+    if args.route != "all" and not ROUTES[args.route].applies(n):
         return _fail(EXIT_INAPPLICABLE, ROUTES[args.route].inapplicable.format(n=n))
-    for name in [name for name in requested if p > ROUTES[name].max_p]:
-        limit = f"the {name} route takes p <= {ROUTES[name].max_p}, got p={int(p)}"
-        if args.route != "all":
-            return _fail(EXIT_BAD_ARGS, limit)
-        print(f"note: skipped {name}: {limit}", file=sys.stderr)
-        requested.remove(name)
-    if not requested:
-        return _fail(EXIT_BAD_ARGS, f"no route for n={n} takes p={int(p)}")
-
-    distinct = set()
-    for name in requested:
-        route = ROUTES[name]
-        extra = {}
-        t0 = time.perf_counter()
-        row = route.run(p, n)
-        if route.witnesses and args.format == "json":
-            extra["witnesses"] = {str(s): c for s, c in route.witnesses(p, n).items()}
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        label = f"{name} " if args.route == "all" else ""
-        print(_record(args.format, row, name, label, **extra))
+    comparison = cross_validate(p, n, () if args.route == "all" else (args.route,))
+    for note in comparison.notes:
+        print(f"note: {note}", file=sys.stderr)
+    for name, row in sorted(comparison.rows.items()):  # printed in name order
+        witnesses = ROUTES[name].witnesses if args.format == "json" else None
+        extra = {"witnesses": {str(s): c for s, c in witnesses(p, n).items()}} if witnesses else {}
+        print(_record(args.format, row, name, f"{name} " if args.route == "all" else "", **extra))
         if args.timing:
-            print(f"# {name}: {elapsed:.3f} ms", file=sys.stderr)
-        distinct.add(row.generators)
-    if len(distinct) > 1:
-        return _fail(EXIT_MISMATCH, f"routes disagree for p={int(p)}, n={n}: {sorted(distinct)}")
+            print(f"# {name}: {comparison.timings_ms[name]:.3f} ms", file=sys.stderr)
+    if not comparison.agree:
+        distinct = sorted(set(comparison.results.values()))
+        return _fail(EXIT_MISMATCH, f"routes disagree for p={int(p)}, n={n}: {distinct}")
     return EXIT_OK
 
 
@@ -228,7 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RouteLimitError as exc:  # raised before any route runs
+        return _fail(EXIT_BAD_ARGS, str(exc))
 
 
 if __name__ == "__main__":

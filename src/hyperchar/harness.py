@@ -3,8 +3,8 @@
 The shipped fixtures are the single transcription point for reference data;
 nothing else in the package hardcodes table rows. A row is the FixtureRow
 that every route returns (defined in characteristic and re-exported here,
-with braced). Row validation compares every applicable route (membership DP,
-closed form, norm criterion) against the fixture and against each other.
+with braced). cross_validate alone selects, bounds (by max_p), runs, times and
+compares routes; genset prints its rows, validate_fixture checks them.
 Work items are independent and are built in (p, n) order; results come back
 in input order, serially or from the pool, so output is deterministic no
 matter how many workers ran. The pool and its imports load only when more
@@ -66,16 +66,22 @@ class FixtureParseError(ValueError):
     """Malformed fixture content; message names the offending line."""
 
 
+class RouteLimitError(ValueError):
+    """No requested route takes p; raised before any route runs."""
+
+
 @dataclass
 class RouteComparison:
-    """Outcome of running all applicable routes for one (p, n)."""
+    """cross_validate's rows and times (ms) by route, their agreement and notes."""
 
-    p: Prime
-    n: int
-    results: dict[str, tuple[int, ...]]
+    rows: dict[str, FixtureRow]
     agree: bool
     notes: tuple[str, ...]
     timings_ms: dict[str, float]
+
+    @property
+    def results(self) -> dict[str, tuple[int, ...]]:
+        return {name: row.generators for name, row in self.rows.items()}
 
 
 @dataclass
@@ -149,29 +155,34 @@ def shipped_fixture_path(name: str = "reference_sets.txt") -> Path:
     return Path(__file__).parent / "data" / name
 
 
-def applicable_routes(n: int) -> tuple[str, ...]:
-    return tuple(name for name, route in ROUTES.items() if route.applies(n))
+def _select_routes(p: int, n: int, names=()) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """names (default: the routes that apply to n) that take p, and a note per route skipped."""
+    names = tuple(names) or tuple(name for name, route in ROUTES.items() if route.applies(n))
+    limits = {r: f"the {r} route takes p <= {ROUTES[r].max_p}, got p={p}" for r in names}
+    chosen = tuple(name for name in names if p <= ROUTES[name].max_p)
+    if not chosen:
+        raise RouteLimitError(f"no route for n={n} takes p={p}" if names[1:] else limits[names[0]])
+    return chosen, tuple(f"skipped {name}: {limits[name]}" for name in names if name not in chosen)
 
 
-def cross_validate(p: Prime, n: int) -> RouteComparison:
-    """Run every route in ROUTES that applies to n and compare the outputs.
+def cross_validate(p: Prime, n: int, names: Iterable[str] = ()) -> RouteComparison:
+    """Run and compare the named routes (default: all that apply to n). One past
+    its max_p is skipped with a note, or if none is left RouteLimitError is raised.
 
     Disagreements are reported, never raised. A note records p itself among
     the generators when n is not 1 or 2, the only orders that have p there.
     """
-    results: dict[str, tuple[int, ...]] = {}
+    chosen, notes = _select_routes(int(p), n, names)
+    rows: dict[str, FixtureRow] = {}
     timings: dict[str, float] = {}
-    for route in applicable_routes(n):
+    for name in chosen:
         t0 = time.perf_counter()
-        results[route] = ROUTES[route].run(p, n).generators
-        timings[route] = (time.perf_counter() - t0) * 1000.0
-    baseline = results["dp"]
-    agree = all(gens == baseline for gens in results.values())
-    unexpected = int(p) in baseline and n not in (1, 2)
-    notes = (f"p={int(p)} appears as a generator (unexpected for n={n})",) if unexpected else ()
-    return RouteComparison(
-        p=p, n=n, results=results, agree=agree, notes=notes, timings_ms=timings
-    )
+        rows[name] = ROUTES[name].run(p, n)
+        timings[name] = (time.perf_counter() - t0) * 1000.0
+    distinct = {row.generators for row in rows.values()}
+    if n not in (1, 2) and any(int(p) in gens for gens in distinct):
+        notes += (f"p={int(p)} appears as a generator (unexpected for n={n})",)
+    return RouteComparison(rows, len(distinct) == 1, notes, timings)
 
 
 def _validate_row(row: FixtureRow) -> RouteComparison:
@@ -195,10 +206,12 @@ def _map_items(fn, items, workers: int):
 
 
 def validate_fixture(rows: list[FixtureRow], workers: int = 1) -> ValidationReport:
-    """Cross-validate every fixture row; a row passes only if all applicable
-    routes agree with each other and with the fixture's generators. Rows run
-    in `workers` processes; 1 or less runs them in this one."""
+    """Cross-validate every fixture row (RouteLimitError, before any route runs, if
+    no route takes one); a row passes only if all routes that ran agree with the
+    fixture. Rows run in `workers` processes; 1 or less runs them in this one."""
     rows = sorted(rows, key=lambda row: (row.p, row.order, row.generators))
+    for row in rows:
+        _select_routes(int(row.p), row.order)
     comparisons = _map_items(_validate_row, rows, workers)
 
     failures: list[tuple[FixtureRow, FixtureRow, str]] = []
@@ -206,8 +219,8 @@ def validate_fixture(rows: list[FixtureRow], workers: int = 1) -> ValidationRepo
     route_ms = {route: 0.0 for route in ROUTES}
     passed = 0
     for row, comparison in zip(rows, comparisons):
-        wrong = [(row, FixtureRow(row.p, row.order, gens), route)
-                 for route, gens in sorted(comparison.results.items()) if gens != row.generators]
+        wrong = [(row, computed, route) for route, computed in sorted(comparison.rows.items())
+                 if computed.generators != row.generators]
         failures.extend(wrong)
         passed += not wrong
         for route, ms in comparison.timings_ms.items():
@@ -222,6 +235,8 @@ def table_rows(p_max: int, workers: int = 1) -> list[FixtureRow]:
     sorted by (p, n), computed in `workers` processes as for validate_fixture."""
     if p_max < 2:
         raise ValueError(f"p_max must be at least 2, got {p_max}")
+    if p_max > ROUTES["dp"].max_p:
+        raise RouteLimitError(f"the dp route takes p <= {ROUTES['dp'].max_p}, got p_max={p_max}")
     return _map_items(_table_row, prime_orders(p_max), workers)
 
 

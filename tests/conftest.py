@@ -56,6 +56,20 @@ def candidate_sums_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def no_walks(monkeypatch):
+    """residue_steps and _levels raise in every hyperchar module that binds
+    them, so a route run past its max_p fails before it allocates a p-bit mask."""
+    def refuse(*args):
+        raise AssertionError(f"a residue walk ran at p={args[0]}")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hyperchar"):
+            for walk in ("residue_steps", "_levels"):
+                if hasattr(module, walk):
+                    monkeypatch.setattr(module, walk, refuse)
+
+
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 

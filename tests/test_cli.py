@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperchar import cli
+from hyperchar import cli, harness
 from hyperchar.cli import build_parser, main
 from hyperchar.harness import ROUTES, load_fixtures, parse_fixture_line, shipped_fixture_path
 from hyperchar.hyperfield import check_axioms
@@ -108,20 +108,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@pytest.fixture
-def no_walks(monkeypatch):
-    """residue_steps and _levels raise in every hyperchar module that binds
-    them, so a route run past its max_p fails before it allocates a p-bit mask."""
-    def refuse(*args):
-        raise AssertionError(f"a residue walk ran at p={args[0]}")
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("hyperchar"):
-            for walk in ("residue_steps", "_levels"):
-                if hasattr(module, walk):
-                    monkeypatch.setattr(module, walk, refuse)
 
 
 class TestGenset:
@@ -236,6 +222,21 @@ class TestGenset:
         )
         assert code == 0 and out == "{3, 4, 5}\n" and "ms" in err
 
+    def test_timing_is_cross_validate_time_of_routes_that_ran(self, capsys, monkeypatch, no_walks):
+        comparisons = []
+
+        def recording(*args):
+            comparisons.append(harness.cross_validate(*args))
+            return comparisons[-1]
+
+        monkeypatch.setattr(cli, "cross_validate", recording)
+        code, out, err = run_cli(capsys, "genset", "--p", "1000000000039", "--n", "3",
+                                 "--route", "all", "--timing")
+        assert (code, out) == (0, "closed {3, 1549316, 1869973}\n")
+        assert len(comparisons) == 1
+        timed = [line for line in err.splitlines() if line.startswith("# ")]
+        assert timed == [f"# closed: {comparisons[0].timings_ms['closed']:.3f} ms"]
+
     @pytest.mark.parametrize("route", ["dp", "closed", "norm"])
     def test_timing_leaves_json_stdout_unchanged(self, capsys, route):
         argv = ["genset", "--p", "7", "--n", "3", "--route", route, "--format", "json"]
@@ -286,6 +287,14 @@ class TestTable:
     def test_bad_p_max(self, capsys):
         code, _, _ = run_cli(capsys, "table", "--p-max", "1")
         assert code == 2
+
+    def test_p_max_past_dp_limit_is_bad_args_before_any_row(self, capsys, tmp_path, no_walks):
+        p_max = str(ROUTES["dp"].max_p + 1)
+        limit = f"error: the dp route takes p <= {ROUTES['dp'].max_p}, got p_max={p_max}\n"
+        assert run_cli(capsys, "table", "--p-max", p_max) == (2, "", limit)
+        target = tmp_path / "rows.txt"
+        assert run_cli(capsys, "table", "--p-max", p_max, "--output", str(target)) == (2, "", limit)
+        assert not target.exists()
 
 
 class TestVerify:
@@ -345,6 +354,32 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--fixture", str(empty))
         assert code == 0
         assert "total=0" in out and "empty" in err
+
+    def test_routes_past_their_limit_are_skipped_with_notes(self, capsys, tmp_path, no_walks):
+        big = tmp_path / "big.txt"
+        big.write_text("1000000000039,3,{3 1549316 1869973}\n")
+        code, out, err = run_cli(capsys, "verify", "--fixture", str(big))
+        assert (code, out) == (0, "total=1 passed=1 failed=0\n")
+        assert [line for line in err.splitlines() if line.startswith("note: ")] == [
+            f"note: skipped {name}: the {name} route takes p <= {ROUTES[name].max_p}, "
+            "got p=1000000000039" for name in ("dp", "norm")]
+
+    def test_row_no_route_takes_is_bad_args_before_any_route_runs(self, capsys, tmp_path, no_walks):
+        # under no_walks, dp on the small row would raise if any route ran
+        rows = tmp_path / "rows.txt"
+        rows.write_text("7,3,{3 4 5}\n1000000000061,5,{2 3}\n")
+        assert run_cli(capsys, "verify", "--fixture", str(rows)) == (
+            2, "", "error: no route for n=5 takes p=1000000000061\n")
+
+    def test_value_error_inside_a_route_propagates(self, capsys, tmp_path, monkeypatch):
+        def boom(p, n):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(ROUTES, "dp", ROUTES["dp"]._replace(run=boom))
+        small = tmp_path / "small.txt"
+        small.write_text("7,3,{3 4 5}\n")
+        with pytest.raises(ValueError, match="boom"):
+            main(["verify", "--fixture", str(small)])
 
     def test_timing_summary_on_stderr(self, capsys, tmp_path):
         small = tmp_path / "small.txt"

@@ -204,6 +204,14 @@ class TestCrossValidate:
         assert comparison.agree
         assert comparison.results["dp"] == (3,)
 
+    def test_routes_past_their_limit_are_skipped(self, no_walks):
+        comparison = cross_validate(Prime(1000000000039), 3)
+        assert comparison.results == {"closed": (3, 1549316, 1869973)}
+        assert comparison.agree
+        assert comparison.notes == tuple(
+            f"skipped {name}: the {name} route takes p <= {ROUTES[name].max_p}, got p=1000000000039"
+            for name in ("dp", "norm"))
+
     def test_notes_mark_p_as_generator(self):
         # p is a generator for n in {1, 2} as expected, so no note
         assert cross_validate(Prime(7), 2).notes == ()
