@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .modular import Prime, UnitSubgroup, check_order, subgroup_of_order
@@ -123,7 +123,9 @@ def residue_steps(p: int, elements: Sequence[int]) -> Iterator[int]:
 def _levels(p: Prime, steps: list[int]):
     """BFS over Z/p from 0 by the steps: yield (level, frontier, new) for level
     = 1, 2, ..., where new holds the s first reached at that level and frontier
-    those of the level before, each as an int bitmask.
+    those of the level before, each as an int bitmask. It stops at the first
+    level that reaches nothing, so each level takes a new residue: at most
+    p - 1 levels for any steps, and none without steps.
 
     A level shifts the frontier once per step into one wide int and folds it
     once: every step is in [1, p-1], so a sum wraps past p at most once. With
@@ -132,14 +134,14 @@ def _levels(p: Prime, steps: list[int]):
     residues: the BFS ends by level ceil((p-1)/k). That is k = q - 2 for the
     norm route's steps and k = n - 1 for the kp criterion's.
     """
-    frontier, unseen, level = 1, (1 << p) - 2, 0
-    while unseen:
+    frontier, unseen = 1, (1 << p) - 2
+    for level in count(1):
         wide = 0
         for e in steps:
             wide |= frontier << e
-        new = (wide | wide >> p) & unseen
+        if not (new := (wide | wide >> p) & unseen):
+            return
         unseen ^= new
-        level += 1
         yield level, frontier, new
         frontier = new
 
@@ -218,20 +220,19 @@ def kp_representation_check(p: Prime, G: UnitSubgroup, s: int) -> bool:
     g_i, sums to some kp, and conversely. Reduced mod p, s is a member iff
     level(s mod p) <= s, where level(r) is the fewest steps 1 - g (g in G,
     g != 1) that sum to r mod p: level 0 for r = 0, else the BFS level of
-    _levels that first reaches r. Trivial G has no steps, so s is a member iff
-    p | s. By Cauchy-Davenport the s-fold sumset of G has at least
-    min(p, s(n-1)+1) residues, so every s >= ceil((p-1)/(n-1)) is a member
-    with no BFS; below it s < p, and the BFS stops once its level passes s,
+    _levels that first reaches r, and no level if the BFS ends first. Trivial
+    G has no steps, so the BFS reaches nothing and s is a member iff p | s. By
+    Cauchy-Davenport the s-fold sumset of G has at least min(p, s(n-1)+1)
+    residues, so every s >= ceil((p-1)/(n-1)) is a member with no BFS; below
+    it s < p for nontrivial G, and the BFS stops once its level passes s,
     each level a mask of p bits.
     """
     if G.p != p:
         raise ValueError(f"G is a subgroup mod {G.p}, not mod {p}")
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
-    if G.is_trivial:
-        return s % p == 0
-    if s * (G.order - 1) >= p - 1 or s == 0:
+    if s % p == 0 or s * (G.order - 1) >= p - 1:
         return True
     steps = [(1 - g) % p for g in G.elements if g != 1]
     levels = (level for level, _, new in _levels(p, steps) if new >> s & 1 or level > s)
-    return next(levels) <= s
+    return next(levels, s + 1) <= s

@@ -13,6 +13,7 @@ than one worker will run, so default one-shot calls do not pay for them.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -216,7 +217,7 @@ def validate_fixture(rows: list[FixtureRow], workers: int = 1) -> ValidationRepo
 
     failures: list[tuple[FixtureRow, FixtureRow, str]] = []
     notes: list[str] = []
-    route_ms = {route: 0.0 for route in ROUTES}
+    route_ms: dict[str, float] = {}
     passed = 0
     for row, comparison in zip(rows, comparisons):
         wrong = [(row, computed, route) for route, computed in sorted(comparison.rows.items())
@@ -224,7 +225,7 @@ def validate_fixture(rows: list[FixtureRow], workers: int = 1) -> ValidationRepo
         failures.extend(wrong)
         passed += not wrong
         for route, ms in comparison.timings_ms.items():
-            route_ms[route] += ms
+            route_ms[route] = route_ms.get(route, 0.0) + ms
         notes.extend(comparison.notes)
     return ValidationReport(total=len(rows), passed=passed, failures=failures,
                             notes=tuple(notes), route_ms=route_ms)
@@ -241,9 +242,14 @@ def table_rows(p_max: int, workers: int = 1) -> list[FixtureRow]:
 
 
 def prime_orders(p_max: int) -> list[tuple[int, int]]:
-    """Every (p, n) with p <= p_max prime and n | p-1, in (p, n) order."""
-    return [(p, n) for p in range(2, p_max + 1) if is_prime(p)
-            for n in range(1, p) if (p - 1) % n == 0]
+    """Every (p, n) with p <= p_max prime and n | p-1, in (p, n) order: each
+    divisor d <= sqrt(p-1) and its cofactor (p-1)/d."""
+    pairs = []
+    for p in filter(is_prime, range(2, p_max + 1)):
+        small = [d for d in range(1, math.isqrt(p - 1) + 1) if (p - 1) % d == 0]
+        large = [(p - 1) // d for d in reversed(small) if d * d != p - 1]
+        pairs += [(p, n) for n in small + large]
+    return pairs
 
 
 def find_witness(n: int) -> Optional[ConjectureWitness]:

@@ -74,10 +74,6 @@ class UnitSubgroup:
         if len(self.elements) != self.order or 1 not in self.elements:
             raise ValueError("element list does not match the subgroup order")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
 
 @dataclass(frozen=True)
 class TwoSquares:
@@ -125,17 +121,15 @@ def _prime_factors(m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def find_primitive_root(p: Prime) -> int:
-    """Smallest g in [1, p-1] generating all of (Z/pZ)^x.
+    """Smallest g in [1, p-1] generating all of (Z/pZ)^x: 1 for p = 2 alone.
 
     Fixing the smallest root keeps every downstream element list reproducible.
     Raises ValueError for a p that is not prime; a Prime was checked when built.
     """
     if not isinstance(p, Prime):
         Prime(p)
-    if p == 2:
-        return 1
     factors = _prime_factors(p - 1)
-    for g in range(2, p):
+    for g in range(1, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
     raise AssertionError(f"no primitive root found for prime {p}")

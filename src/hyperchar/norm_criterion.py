@@ -121,22 +121,20 @@ def generating_set_via_norm(p: Prime, q: Prime) -> FixtureRow:
     closure of the smaller coins on [0, p] misses it; no member past p is
     needed, and nothing is assumed about the table route.
 
-    No witness is built for any q. q = 2 has no candidates, since 0 < s < p
-    ones never sum to 0 mod p. For q = 3 bit s is a_1 <= s. For q >= 5 the
-    non-candidates are the s < level(s), which each BFS level picks out of its
-    new sums with a mask of level bits. Audit witnesses come from
-    candidate_sums, which only JSON output calls.
+    No witness is built for any q. For q = 3 bit s is a_1 <= s. Otherwise the
+    candidates are the s >= level(s), each BFS level's new sums at or above
+    it. q = 2 has no steps, so the BFS reaches nothing: 0 < s < p ones never
+    sum to 0 mod p. Audit witnesses come from candidate_sums, which only JSON
+    output calls.
     """
     steps = _norm_steps(p, q)
     candidates = 0
     if q == 3:
         bits = "".join("1" if a1 <= s else "0" for s, a1 in _order_three(p, steps[0]))
         candidates = int(bits[::-1] + "0", 2)
-    elif q > 3:
-        below = 0
+    else:
         for level, _, new in _levels(p, steps):
-            below |= new & ((1 << level) - 1)
-        candidates = ((1 << p) - 2) ^ below
+            candidates |= new >> level << level
     return FixtureRow(p, q, _generate(candidates | 1 << p | 1 << q, p))
 
 

@@ -58,16 +58,31 @@ def candidate_sums_calls(monkeypatch):
 
 @pytest.fixture
 def no_walks(monkeypatch):
-    """residue_steps and _levels raise in every hyperchar module that binds
-    them, so a route run past its max_p fails before it allocates a p-bit mask."""
-    def refuse(*args):
-        raise AssertionError(f"a residue walk ran at p={args[0]}")
+    """residue_steps and _levels raise, in every hyperchar module that binds
+    them, when given any step, so a route run past its max_p fails before it
+    walks a p-bit mask. A step-less call (norm at q = 2) runs: it reaches
+    nothing, so it yields no level."""
+    def refusing(walk):
+        def refuse(p, steps):
+            if steps:
+                raise AssertionError(f"a residue walk ran at p={p}")
+            return walk(p, steps)
+        return refuse
 
     for name, module in list(sys.modules.items()):
         if name.startswith("hyperchar"):
             for walk in ("residue_steps", "_levels"):
                 if hasattr(module, walk):
-                    monkeypatch.setattr(module, walk, refuse)
+                    monkeypatch.setattr(module, walk, refusing(getattr(module, walk)))
+
+
+@pytest.fixture
+def wrong_norm_route(monkeypatch):
+    """ROUTES["norm"] returns the valid but wrong row {3 4} for every (p, n)."""
+    from hyperchar.harness import ROUTES, FixtureRow
+
+    monkeypatch.setitem(ROUTES, "norm", ROUTES["norm"]._replace(
+        run=lambda p, n: FixtureRow(p, n, (3, 4))))
 
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -98,6 +113,12 @@ def subgroup_pairs(p_cap: int) -> list[tuple[int, int]]:
     ]
 
 
+def oracle_prime_orders(p_max: int) -> list[tuple[int, int]]:
+    """Every (p, n) with p <= p_max prime and n | p-1, by trying every n < p."""
+    return [(p, n) for p in range(2, p_max + 1) if oracle_is_prime(p)
+            for n in range(1, p) if (p - 1) % n == 0]
+
+
 def oracle_subgroup(p: int, n: int) -> list[int]:
     """Order-n subgroup of (Z/pZ)^x found by element-order search, no primitive root."""
     members = [x for x in range(1, p) if pow(x, n, p) == 1]
@@ -115,6 +136,16 @@ def oracle_members_setwalk(p: int, n: int, bound: int) -> list[bool]:
         reach = {(r + g) % p for r in reach for g in G}
         member[k] = 0 in reach
     return member
+
+
+def oracle_bfs_levels(p: int, steps) -> list[set[int]]:
+    """The residues first reached at BFS levels 1, 2, ... from 0 by the steps
+    mod p, as sets, up to the last level that reaches a new residue."""
+    seen, frontier, levels = {0}, {0}, []
+    while frontier := {(r + e) % p for r in frontier for e in steps} - seen:
+        seen |= frontier
+        levels.append(frontier)
+    return levels
 
 
 def oracle_folds(H, count: int) -> list:

@@ -1,4 +1,4 @@
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hyperchar import characteristic
 from hyperchar.characteristic import (
     CharacteristicSet,
+    _levels,
     characteristic_bitset,
     continuity_threshold_of,
     kp_representation_check,
@@ -18,8 +19,10 @@ from hyperchar.closed_form import gen_set_closed_form
 from hyperchar.modular import Prime, subgroup_of_order
 
 from conftest import (
+    SMALL_PRIMES,
     as_mask,
     coin_mask,
+    oracle_bfs_levels,
     oracle_continuity_threshold,
     oracle_convolution_generators,
     oracle_is_prime,
@@ -289,6 +292,29 @@ class TestResidueSteps:
     def test_rejects_residue_outside_one_to_p_minus_one(self, elements):
         with pytest.raises(ValueError, match=r"\[1, 6\]"):
             next(residue_steps(7, elements))
+
+
+def as_set(mask: int) -> set[int]:
+    return {s for s in range(mask.bit_length()) if mask >> s & 1}
+
+
+class TestLevels:
+    @pytest.mark.parametrize("p", SMALL_PRIMES + [1009])
+    def test_no_steps_yield_no_level(self, p):
+        assert list(_levels(Prime(p), [])) == []
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_every_step_list_matches_set_bfs_within_p_minus_one_levels(self, p):
+        # each level reaches a new residue, so no step list gets past p - 1
+        for k in range(p):
+            for steps in combinations(range(1, p), k):
+                levels = list(_levels(Prime(p), list(steps)))
+                expected = oracle_bfs_levels(p, steps)
+                assert [as_set(new) for _, _, new in levels] == expected, (p, steps)
+                assert [level for level, _, _ in levels] == list(range(1, len(expected) + 1))
+                news = [new for _, _, new in levels]
+                assert [frontier for _, frontier, _ in levels] == ([1] + news)[:len(news)]
+                assert len(levels) <= p - 1
 
 
 class TestSaturationBound:

@@ -139,6 +139,12 @@ class TestGenset:
         assert code == 0
         assert out.splitlines() == ["closed {3, 4, 5}", "dp {3, 4, 5}", "norm {3, 4, 5}"]
 
+    def test_route_all_disagreement_is_mismatch(self, capsys, wrong_norm_route):
+        code, out, err = run_cli(capsys, "genset", "--p", "7", "--n", "3", "--route", "all")
+        assert code == 1
+        assert out.splitlines() == ["closed {3, 4, 5}", "dp {3, 4, 5}", "norm {3, 4}"]
+        assert err == "error: routes disagree for p=7, n=3: [(3, 4), (3, 4, 5)]\n"
+
     def test_route_all_skips_inapplicable(self, capsys):
         code, out, _ = run_cli(capsys, "genset", "--p", "31", "--n", "6", "--route", "all")
         assert code == 0
@@ -360,9 +366,18 @@ class TestVerify:
         big.write_text("1000000000039,3,{3 1549316 1869973}\n")
         code, out, err = run_cli(capsys, "verify", "--fixture", str(big))
         assert (code, out) == (0, "total=1 passed=1 failed=0\n")
-        assert [line for line in err.splitlines() if line.startswith("note: ")] == [
-            f"note: skipped {name}: the {name} route takes p <= {ROUTES[name].max_p}, "
-            "got p=1000000000039" for name in ("dp", "norm")]
+        # the skipped routes report no time: only closed ran
+        notes = "".join(f"note: skipped {name}: the {name} route takes p <= {ROUTES[name].max_p}, "
+                        "got p=1000000000039\n" for name in ("dp", "norm"))
+        assert re.fullmatch(re.escape(notes) + r"# closed: \d+\.\d ms total\n", err), err
+
+    def test_wrong_route_is_named_in_a_mismatch(self, capsys, tmp_path, wrong_norm_route):
+        small = tmp_path / "small.txt"
+        small.write_text("7,3,{3 4 5}\n")
+        code, out, err = run_cli(capsys, "verify", "--fixture", str(small))
+        assert (code, out) == (1, "total=1 passed=0 failed=1\n")
+        assert [line for line in err.splitlines() if not line.endswith(" ms total")] == [
+            "mismatch: 7,3,{3 4 5} route=norm computed={3 4}"]
 
     def test_row_no_route_takes_is_bad_args_before_any_route_runs(self, capsys, tmp_path, no_walks):
         # under no_walks, dp on the small row would raise if any route ran

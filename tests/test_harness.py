@@ -16,13 +16,14 @@ from hyperchar.harness import (
     find_witness,
     load_fixtures,
     parse_fixture_line,
+    prime_orders,
     shipped_fixture_path,
     table_rows,
     validate_fixture,
 )
 from hyperchar.modular import Prime, is_prime
 
-from conftest import oracle_is_prime, regenerate, subgroup_pairs
+from conftest import oracle_is_prime, oracle_prime_orders, regenerate, subgroup_pairs
 
 BENCH_TABLE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "table.txt"
 
@@ -217,6 +218,11 @@ class TestCrossValidate:
         assert cross_validate(Prime(7), 2).notes == ()
         assert cross_validate(Prime(7), 3).notes == ()
 
+    def test_a_wrong_route_disagrees(self, wrong_norm_route):
+        comparison = cross_validate(Prime(7), 3)
+        assert comparison.agree is False
+        assert comparison.results == {"closed": (3, 4, 5), "dp": (3, 4, 5), "norm": (3, 4)}
+
     def test_note_for_unexpected_p_generator(self, monkeypatch):
         monkeypatch.setitem(harness.ROUTES, "dp", harness.Route(
             lambda n: True, lambda p, n: FixtureRow(p, n, (3, 7))))
@@ -337,6 +343,9 @@ class TestTableRows:
     def test_rejects_tiny_p_max(self):
         with pytest.raises(ValueError):
             table_rows(1)
+
+    def test_prime_orders_match_every_n_oracle(self):
+        assert prime_orders(2000) == oracle_prime_orders(2000)
 
 
 class TestConjecture:
