@@ -6,7 +6,8 @@ bitmasks: bit r of the step-k mask says "some sum of exactly k subgroup elements
 is congruent to r mod p". A step shifts the mask by every element into one
 wide int and folds the wrapped bits p..2p-2 back once. For nontrivial G the
 walk stops after p-2 steps: by Cauchy-Davenport every s >= p-1 is a member,
-so the rest of the window is set without stepping. Each minimal generator
+so the rest of the window is set without stepping. For trivial G there is
+no walk: the members are the multiples of p. Each minimal generator
 is the least member outside the closure of the smaller ones, closed in by
 doubling shifts; the norm route runs the same loop on its coin mask. Every
 route returns its answer as one FixtureRow (p, n, minimal generators), the
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import count
+from typing import Iterable, Optional
 
 from .modular import Prime, UnitSubgroup, check_order, subgroup_of_order
 
@@ -74,6 +75,8 @@ class FixtureRow:
 
     def __post_init__(self) -> None:
         check_order(self.p, self.order)
+        if not isinstance(self.p, Prime):
+            Prime(self.p)
         if list(self.generators) != sorted(set(self.generators)):
             raise ValueError("generators must be strictly increasing")
         if any(g < 1 for g in self.generators):
@@ -96,28 +99,6 @@ def continuity_threshold_of(mask: int, bound: int, p: int) -> Optional[int]:
     if not mask >> bound & 1 or bound - start + 1 < p:
         return None
     return start
-
-
-def residue_steps(p: int, elements: Sequence[int]) -> Iterator[int]:
-    """Reach masks of the residue DP after k = 1, 2, ... steps, without end.
-
-    Bit r of the k-th mask is set iff some multiset of exactly k of the given
-    residues sums to r mod p. Each step shifts the mask once per element into
-    one unmasked int and then folds it once: every element lies in [1, p-1],
-    so r + g <= 2p - 2 and bits p..2p-2 are exactly the sums that wrap. An
-    element outside [1, p-1] raises ValueError before the first mask.
-    """
-    bad = next((g for g in elements if not 0 < g < p), None)
-    if bad is not None:
-        raise ValueError(f"residues must lie in [1, {p - 1}], got {bad}")
-    mask = (1 << p) - 1
-    reach = 1
-    while True:
-        wide = 0
-        for g in elements:
-            wide |= reach << g
-        reach = (wide | wide >> p) & mask
-        yield reach
 
 
 def _levels(p: Prime, steps: list[int]):
@@ -150,21 +131,29 @@ def characteristic_bitset(p: Prime, n: int) -> CharacteristicSet:
     """Exact membership table of char(F_p/G) for G the order-n unit subgroup,
     on the window [0, 2p].
 
-    For nontrivial G (n >= 2) Cauchy-Davenport gives |sG| >= min(p, s(n-1)+1),
-    which is p at s = p-1: every residue, 0 included, is a sum of s elements
-    for every s >= p-1. So the DP walks only steps 1..p-2 and bits p-1..2p
-    are set without stepping. Each s >= 2(p-1) then splits as
-    (p-1) + (s-p+1) into two members: no minimal generator lives at 2(p-1)
-    or beyond, and the extraction in minimal_generating_set is sound. The
-    trivial subgroup walks all 2p steps and yields the multiples of p, whose
-    one generator p lies in the same window.
+    For trivial G, s ones sum to 0 mod p iff p | s, so the mask is the
+    multiples of p, 0, p and 2p, with no walk; its one generator p lies in the
+    window. For nontrivial G (n >= 2) Cauchy-Davenport gives
+    |sG| >= min(p, s(n-1)+1), which is p at s = p-1: every residue, 0
+    included, is a sum of s elements for every s >= p-1. So the DP walks only
+    steps 1..p-2 and bits p-1..2p are set without stepping. Each s >= 2(p-1)
+    then splits as (p-1) + (s-p+1) into two members: no minimal generator
+    lives at 2(p-1) or beyond, and the extraction in minimal_generating_set is
+    sound.
     """
-    walk = 2 * p if n == 1 else p - 2
-    steps = islice(residue_steps(p, subgroup_of_order(p, n).elements), walk)
-    # bit 0 of step s becomes bit s of the mask; the trailing "1" is the member 0
-    bits = "".join("1" if reach & 1 else "0" for reach in steps)
-    tail = "1" * (2 * p - walk)  # the members walk+1..2p
-    return CharacteristicSet(p=p, order=n, mask=int(tail + bits[::-1] + "1", 2))
+    elements = subgroup_of_order(p, n).elements
+    if n == 1:
+        return CharacteristicSet(p=p, order=n, mask=1 | 1 << p | 1 << 2 * p)
+    residues, reach, bits = (1 << p) - 1, 1, []
+    for _ in range(p - 2):
+        wide = 0
+        for g in elements:
+            wide |= reach << g
+        reach = (wide | wide >> p) & residues  # elements are in [1, p-1]: one fold
+        bits.append("1" if reach & 1 else "0")
+    # bit 0 of step s becomes bit s of the mask; the trailing "1" is the member 0,
+    # and the leading p + 2 ones are the members p-1..2p
+    return CharacteristicSet(p=p, order=n, mask=int("1" * (p + 2) + "".join(bits)[::-1] + "1", 2))
 
 
 def _close(mask: int, c: int, bound: int) -> int:

@@ -168,10 +168,11 @@ def _cornacchia(p: int, d: int) -> tuple[int, int]:
     d = 1 (k = 4), and 2z + 1 for d = 3 (k = 3), as (2z+1)^2 = 4(z^2+z+1) - 3.
     """
     k = 4 if d == 1 else 3
-    c = 2
-    # z^k = 1, so z has exact order k (3 or 4) iff z^2 != 1.
-    while pow(z := pow(c, (p - 1) // k, p), 2, p) == 1:
-        c += 1
+    # z^k = 1, so z has exact order k (3 or 4) iff z^2 != 1; for p = 1 (mod k)
+    # a non-residue (k = 4) or a non-cube (k = 3) below p gives one.
+    roots = (pow(c, (p - 1) // k, p) for c in range(2, p))
+    if (z := next((z for z in roots if pow(z, 2, p) != 1), None)) is None:
+        raise AssertionError(f"no element of order {k} mod p={p}")
     r_prev, x = p, z if d == 1 else (2 * z + 1) % p
     while x * x > p:
         r_prev, x = x, r_prev % x

@@ -58,10 +58,13 @@ def candidate_sums_calls(monkeypatch):
 
 @pytest.fixture
 def no_walks(monkeypatch):
-    """residue_steps and _levels raise, in every hyperchar module that binds
-    them, when given any step, so a route run past its max_p fails before it
-    walks a p-bit mask. A step-less call (norm at q = 2) runs: it reaches
-    nothing, so it yields no level."""
+    """characteristic_bitset raises, and _levels raises when given any step, in
+    every hyperchar module that binds them, so a route run past its max_p fails
+    before it walks a p-bit mask. A step-less _levels call (norm at q = 2) runs:
+    it reaches nothing, so it yields no level."""
+    def refuse_dp(p, n):
+        raise AssertionError(f"a residue walk ran at p={p}")
+
     def refusing(walk):
         def refuse(p, steps):
             if steps:
@@ -71,9 +74,10 @@ def no_walks(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if name.startswith("hyperchar"):
-            for walk in ("residue_steps", "_levels"):
-                if hasattr(module, walk):
-                    monkeypatch.setattr(module, walk, refusing(getattr(module, walk)))
+            if hasattr(module, "characteristic_bitset"):
+                monkeypatch.setattr(module, "characteristic_bitset", refuse_dp)
+            if hasattr(module, "_levels"):
+                monkeypatch.setattr(module, "_levels", refusing(module._levels))
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from hyperchar.modular import (
     Prime,
     TwoSquares,
     UnitSubgroup,
+    _cornacchia,
     cornacchia_two_squares,
     eisenstein_solutions,
     find_primitive_root,
@@ -93,10 +94,12 @@ class TestPrimitiveRoot:
     (generating_set_via_norm, 15, 7),
     (characteristic_bitset, 15, 2),
     (subgroup_of_order, 9, 2),
+    (FixtureRow, 15, 2),
+    (characteristic_bitset, 9, 1),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_composite_p_is_rejected(route, p, n):
     with pytest.raises(ValueError, match=f"^{p} is not prime$"):
-        route(p, n)
+        route(p, n, (2,)) if route is FixtureRow else route(p, n)
 
 
 # F_p/G exists only for n | p - 1; every entry point raises modular.check_order's
@@ -197,6 +200,12 @@ class TestCornacchia:
     def test_rejects_three_mod_four(self):
         with pytest.raises(ValueError):
             cornacchia_two_squares(Prime(7))
+
+    @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 3), (3, 3)])
+    def test_root_search_ends_where_no_root_of_minus_d_has_order_k(self, p, d):
+        # no unit mod 2 or 3 has order 3 or 4, so the search over c in [2, p) ends empty
+        with pytest.raises(AssertionError, match=f"^no element of order {4 if d == 1 else 3} mod p={p}$"):
+            _cornacchia(p, d)
 
     def test_matches_isqrt_scan_below_20000(self):
         for p in ORACLE_PRIMES:

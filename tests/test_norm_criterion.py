@@ -254,7 +254,7 @@ class TestLevelBfs:
         def forbidden(*args):
             raise AssertionError("the norm route ran the dp's residue walk")
 
-        original = characteristic.residue_steps
+        original = characteristic.characteristic_bitset
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("hyperchar"):
                 for name in [k for k, v in vars(module).items() if v is original]:
