@@ -25,6 +25,7 @@ from conftest import (
     oracle_bfs_levels,
     oracle_continuity_threshold,
     oracle_convolution_generators,
+    oracle_is_prime,
     oracle_kp_check,
     oracle_member_enumerate,
     oracle_members_setwalk,
@@ -237,7 +238,38 @@ class TestContinuityThreshold:
                     member, p), (mask, width, p)
 
 
+# the unsorted norm powers g^0..g^(q-2) of a primitive q-th root g, q | p-1
+NORM_POWERS_300 = [
+    (p, q)
+    for q in (5, 7, 11)
+    for p in range(3, 300)
+    if oracle_is_prime(p) and (p - 1) % q == 0
+]
+
+
+def assert_levels_match_rotation(p, steps):
+    """_levels' new residues at each level are those the rotation oracle's
+    k-th reach mask first holds at k, 0 aside, up to the first empty level."""
+    seen, expected = 1, []
+    for reach in islice(oracle_residue_steps(p, steps), p):
+        if not (new := reach & ~seen):
+            break
+        seen |= new
+        expected.append((len(expected) + 1, new))
+    levels = [(level, new) for level, _, new in _levels(Prime(p), list(steps))]
+    assert levels == expected, (p, steps)
+
+
 class TestResidueSteps:
+    @pytest.mark.parametrize("p,n", subgroup_pairs(199))
+    def test_subgroup_steps_match_rotation_oracle(self, p, n):
+        assert_levels_match_rotation(p, subgroup_of_order(Prime(p), n).elements)
+
+    @pytest.mark.parametrize("p,q", NORM_POWERS_300)
+    def test_norm_power_steps_match_rotation_oracle(self, p, q):
+        g = subgroup_of_order(Prime(p), q).generator
+        assert_levels_match_rotation(p, [pow(g, j, p) for j in range(q - 1)])
+
     @pytest.mark.parametrize("p,n", subgroup_pairs(199) + [(1009, 1), (1009, 2), (1009, 504)])
     def test_bitset_mask_matches_per_step_assembly(self, p, n):
         # the oracle walks all 2p steps; the dp stops after p-2 for nontrivial G
