@@ -6,8 +6,10 @@ bitmasks: bit r of the step-k mask says "some sum of exactly k subgroup elements
 is congruent to r mod p". A step shifts the mask by every element into one
 wide int and folds the wrapped bits p..2p-2 back once. For nontrivial G the
 walk stops after p-2 steps: by Cauchy-Davenport every s >= p-1 is a member,
-so the rest of the window is set without stepping. For trivial G there is
-no walk: the members are the multiples of p. Each minimal generator
+so the rest of the window is set without stepping. Two orders take no
+walk: for trivial G (n = 1) the members are the multiples of p, and for the
+whole unit group (n = p - 1, p odd) they are every s but 1, Krasner's
+hyperfield with generators {2, 3}. Each minimal generator
 is the least member outside the closure of the smaller ones, closed in by
 doubling shifts; the norm route runs the same loop on its coin mask. Every
 route returns its answer as one FixtureRow (p, n, minimal generators), the
@@ -104,9 +106,11 @@ def continuity_threshold_of(mask: int, bound: int, p: int) -> Optional[int]:
 def _levels(p: Prime, steps: list[int]):
     """BFS over Z/p from 0 by the steps: yield (level, frontier, new) for level
     = 1, 2, ..., where new holds the s first reached at that level and frontier
-    those of the level before, each as an int bitmask. It stops at the first
-    level that reaches nothing, so each level takes a new residue: at most
-    p - 1 levels for any steps, and none without steps.
+    those of the level before, each as an int bitmask. It stops after the
+    level that reaches the last unseen residue, or at the first level that
+    reaches nothing, so each level takes a new residue: at most p - 1 levels
+    for any steps, none without steps, and no pass over the steps past the
+    level that fills Z/p.
 
     A level shifts the frontier once per step into one wide int and folds it
     once: every step is in [1, p-1], so a sum wraps past p at most once. With
@@ -124,6 +128,8 @@ def _levels(p: Prime, steps: list[int]):
             return
         unseen ^= new
         yield level, frontier, new
+        if not unseen:
+            return
         frontier = new
 
 
@@ -133,7 +139,12 @@ def characteristic_bitset(p: Prime, n: int) -> CharacteristicSet:
 
     For trivial G, s ones sum to 0 mod p iff p | s, so the mask is the
     multiples of p, 0, p and 2p, with no walk; its one generator p lies in the
-    window. For nontrivial G (n >= 2) Cauchy-Davenport gives
+    window. For the whole unit group (n = p-1 > 1; p = 2 is trivial G) the
+    quotient is Krasner's hyperfield {0, 1}, and every s >= 2 is a member:
+    if p does not divide s-1, then s-1 ones and 1-s sum to 0; otherwise s-2
+    ones and two copies of 1/2 do. A single unit is never 0, so the mask is
+    every bit of [0, 2p] but bit 1, with no walk, and the generators are
+    {2, 3}. For any other nontrivial G (n >= 2) Cauchy-Davenport gives
     |sG| >= min(p, s(n-1)+1), which is p at s = p-1: every residue, 0
     included, is a sum of s elements for every s >= p-1. So the DP walks only
     steps 1..p-2 and bits p-1..2p are set without stepping. Each s >= 2(p-1)
@@ -144,6 +155,8 @@ def characteristic_bitset(p: Prime, n: int) -> CharacteristicSet:
     elements = subgroup_of_order(p, n).elements
     if n == 1:
         return CharacteristicSet(p=p, order=n, mask=1 | 1 << p | 1 << 2 * p)
+    if n == p - 1:
+        return CharacteristicSet(p=p, order=n, mask=(1 << 2 * p + 1) - 3)
     residues, reach, bits = (1 << p) - 1, 1, []
     for _ in range(p - 2):
         wide = 0

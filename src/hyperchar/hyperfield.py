@@ -74,7 +74,9 @@ class QuotientHyperfield:
         Each fold is a function of the last, so the walk from {0} keeps one
         fold, stops at a fold equal to its predecessor, and on a return to {0}
         after k folds reduces n mod k. Within p folds one of the two happens
-        (Cauchy-Davenport for nontrivial G; fold p is {0} for trivial G)."""
+        (Cauchy-Davenport for nontrivial G: fold p-1 holds every class, and so
+        does fold p; fold p is {0} for trivial G), so a walk that reaches fold
+        p without either raises AssertionError rather than run n folds."""
         if n < 0:
             raise ValueError(f"n must be nonnegative, got {n}")
         fold, k = frozenset([self.zero]), 0
@@ -85,6 +87,8 @@ class QuotientHyperfield:
             fold, k = nxt, k + 1
             if fold == {self.zero}:
                 n, k = n % k, 0
+            elif k >= self.p:
+                raise AssertionError(f"{self!r}: no fixed point or return to 0 within {int(self.p)} folds")
         return fold
 
     def n_fold_sum_contains_zero(self, n: int) -> bool:

@@ -270,10 +270,10 @@ class TestResidueSteps:
         g = subgroup_of_order(Prime(p), q).generator
         assert_levels_match_rotation(p, [pow(g, j, p) for j in range(q - 1)])
 
-    @pytest.mark.parametrize("p,n", subgroup_pairs(199) + [(1009, 1), (1009, 2), (1009, 504)])
+    @pytest.mark.parametrize("p,n", subgroup_pairs(199) + [(1009, 1), (1009, 2), (1009, 504), (1009, 1008)])
     def test_bitset_mask_matches_per_step_assembly(self, p, n):
         # the oracle walks all 2p steps; the dp stops after p-2 for nontrivial G
-        # and reads the trivial group's mask off a formula
+        # and reads the masks of the trivial and the whole group off formulas
         S = characteristic_bitset(Prime(p), n)
         mask = 1
         steps = oracle_residue_steps(p, subgroup_of_order(Prime(p), n).elements)
@@ -281,24 +281,30 @@ class TestResidueSteps:
             mask |= (reach & 1) << s
         assert S.mask == mask
 
-    @pytest.mark.parametrize("p,n,walk", [(7, 3, 5), (13, 12, 11), (31, 1, 0), (1009, 2, 1007)])
+    @pytest.mark.parametrize("p,n,walk", [(7, 3, 5), (13, 6, 11), (13, 12, 0), (31, 1, 0), (1009, 2, 1007)])
     def test_bitset_draws_p_minus_two_steps_unless_trivial(self, monkeypatch, p, n, walk):
-        # a step is one pass over the subgroup's elements; the trivial group takes none
-        passes = 0
-
-        class Counted(tuple):
-            def __iter__(self):
-                nonlocal passes
-                passes += 1
-                return super().__iter__()
+        # a step is one pass over the subgroup's elements; the trivial and the
+        # whole group take none
+        elements = []
 
         def counted(p, n):
             G = subgroup_of_order(p, n)
-            return dataclasses.replace(G, elements=Counted(G.elements))
+            elements.append(Passes(G.elements))
+            return dataclasses.replace(G, elements=elements[-1])
 
         monkeypatch.setattr(characteristic, "subgroup_of_order", counted)
         characteristic_bitset(Prime(p), n)
-        assert passes == walk
+        assert [e.count for e in elements] == [walk]
+
+
+class Passes(tuple):
+    """A tuple that counts the passes made over it."""
+
+    count = 0
+
+    def __iter__(self):
+        self.count += 1
+        return super().__iter__()
 
 
 def as_set(mask: int) -> set[int]:
@@ -322,6 +328,14 @@ class TestLevels:
                 news = [new for _, _, new in levels]
                 assert [frontier for _, frontier, _ in levels] == ([1] + news)[:len(news)]
                 assert len(levels) <= p - 1
+
+    @pytest.mark.parametrize("p,n", [(13, 12), (13, 3), (31, 5), (1009, 2), (1009, 504)])
+    def test_stops_on_the_level_that_fills_z_p(self, p, n):
+        # nonzero steps reach every residue; no pass over them follows the last one found
+        steps = Passes((1 - g) % p for g in subgroup_of_order(Prime(p), n).elements if g != 1)
+        levels = list(_levels(Prime(p), steps))
+        assert sum(new for _, _, new in levels) == (1 << p) - 2
+        assert steps.count == len(levels)
 
 
 class TestSaturationBound:

@@ -3,7 +3,7 @@ check within seconds.
 
 A mutant is the function's own source with exact text edits, compiled in the
 function's module namespace and rebound with monkeypatch in every hyperchar
-module that binds the original. An edit that no longer matches the source
+module or class that binds the original. An edit that no longer matches the source
 fails the test, so the mutants follow the code they mutate. A later kernel
 change adds its mutants to MUTANTS.
 """
@@ -15,11 +15,11 @@ import textwrap
 
 import pytest
 
-from hyperchar import characteristic
+from hyperchar import characteristic, hyperfield
 from hyperchar.harness import load_fixtures, shipped_fixture_path, validate_fixture
 from hyperchar.modular import Prime
 
-from conftest import as_mask, oracle_members_setwalk, subgroup_pairs
+from conftest import as_mask, oracle_bfs_levels, oracle_members_setwalk, oracle_subgroup, subgroup_pairs
 
 
 def shipped_rows_verify() -> bool:
@@ -34,7 +34,28 @@ def dp_masks_match_oracle() -> bool:
                == as_mask(oracle_members_setwalk(p, n, 2 * p)) for p, n in subgroup_pairs(13))
 
 
-CHECKS = {"verify": shipped_rows_verify, "oracle-masks": dp_masks_match_oracle}
+def levels_match_oracle() -> bool:
+    """_levels yields the set BFS oracle's levels by the steps 1 - g (g in G,
+    g != 1) on every (p, n) with p <= 13."""
+    def agree(p, n):
+        steps = [(1 - g) % p for g in oracle_subgroup(p, n) if g != 1]
+        levels = characteristic._levels(Prime(p), steps)
+        return [{r for r in range(p) if new >> r & 1} for _, _, new in levels] == oracle_bfs_levels(p, steps)
+    return all(agree(p, n) for p, n in subgroup_pairs(13))
+
+
+def hyperfield_folds_match_dp() -> bool:
+    """0 lies in the s-fold sum of one in F_p/G iff s is a dp member, for every
+    (p, n) with p <= 13 and s <= 2p, and once at s = 10^18, past any walk."""
+    def agree(p, n, s):
+        return (hyperfield.QuotientHyperfield(p, n).n_fold_sum_contains_zero(s)
+                == (s in characteristic.characteristic_bitset(Prime(p), n)))
+    return agree(13, 3, 10**18) and all(
+        agree(p, n, s) for p, n in subgroup_pairs(13) for s in range(2 * p + 1))
+
+
+CHECKS = {"verify": shipped_rows_verify, "oracle-masks": dp_masks_match_oracle,
+          "oracle-levels": levels_match_oracle, "hyperfield-folds": hyperfield_folds_match_dp}
 
 # name: (function, [(old, new) source edits], the check that kills it)
 MUTANTS = {
@@ -44,8 +65,18 @@ MUTANTS = {
         ("(wide | wide >> p) & residues", "wide & residues")], "verify"),
     "trivial-group-without-bit-2p": (characteristic.characteristic_bitset, [
         ("1 | 1 << p | 1 << 2 * p", "1 | 1 << p")], "oracle-masks"),
+    "whole-group-with-bit-1": (characteristic.characteristic_bitset, [
+        ("(1 << 2 * p + 1) - 3", "(1 << 2 * p + 1) - 1")], "oracle-masks"),
+    "whole-group-formula-at-p-2": (characteristic.characteristic_bitset, [
+        ("if n == 1:", "if n == 1 and p > 2:")], "oracle-masks"),
     "_levels-fold-dropped": (characteristic._levels, [
         ("(wide | wide >> p) & unseen", "wide & unseen")], "verify"),
+    "_levels-stops-one-residue-early": (characteristic._levels, [
+        ("if not unseen:", "if not unseen & unseen - 1:")], "oracle-levels"),
+    "hyperadd-skips-an-orbit-member": (hyperfield.QuotientHyperfield.hyperadd, [
+        ("for b in self.orbit(y))", "for b in self.orbit(y)[1:])")], "hyperfield-folds"),
+    "n_fold_sums-misses-the-fixed-point": (hyperfield.QuotientHyperfield.n_fold_sums, [
+        ("if nxt == fold:", "if False:")], "hyperfield-folds"),
     "_close-tripling": (characteristic._close, [("c *= 2", "c *= 3")], "verify"),
 }
 
@@ -65,12 +96,14 @@ def mutant(function, edits):
 
 
 def rebind(monkeypatch, function, copy) -> None:
-    """Bind copy in place of function in every hyperchar module that binds it."""
-    modules = [module for name, module in list(sys.modules.items())
-               if name.startswith("hyperchar") and getattr(module, function.__name__, None) is function]
-    assert modules, function.__name__
-    for module in modules:
-        monkeypatch.setattr(module, function.__name__, copy)
+    """Bind copy in place of function in every hyperchar module, and every
+    class of one, that binds it."""
+    modules = [module for name, module in list(sys.modules.items()) if name.startswith("hyperchar")]
+    classes = [c for module in modules for c in vars(module).values() if isinstance(c, type)]
+    owners = [o for o in dict.fromkeys(modules + classes) if vars(o).get(function.__name__) is function]
+    assert owners, function.__name__
+    for owner in owners:
+        monkeypatch.setattr(owner, function.__name__, copy)
 
 
 @pytest.mark.parametrize("function", dict.fromkeys(f for f, _, _ in MUTANTS.values()),
@@ -84,4 +117,8 @@ def test_unedited_copy_passes_every_check(monkeypatch, function):
 def test_mutant_is_killed(monkeypatch, name):
     function, edits, check = MUTANTS[name]
     rebind(monkeypatch, function, mutant(function, edits))
-    assert not CHECKS[check]()
+    try:
+        passed = CHECKS[check]()
+    except AssertionError:  # the kernel's own stop fired, so the mutant cannot hang
+        passed = False
+    assert not passed
