@@ -6,15 +6,15 @@ bitmasks: bit r of the step-k mask says "some sum of exactly k subgroup elements
 is congruent to r mod p". A step shifts the mask by every element into one
 wide int and folds the wrapped bits p..2p-2 back once. For nontrivial G the
 walk stops after p-2 steps: by Cauchy-Davenport every s >= p-1 is a member,
-so the rest of the window is set without stepping. Two orders take no
-walk: for trivial G (n = 1) the members are the multiples of p, and for the
-whole unit group (n = p - 1, p odd) they are every s but 1, Krasner's
-hyperfield with generators {2, 3}. Each minimal generator
-is the least member outside the closure of the smaller ones, closed in by
-doubling shifts; the norm route runs the same loop on its coin mask. Every
-route returns its answer as one FixtureRow (p, n, minimal generators), the
-row that fixtures and the CLI carry. All results are exact; no sampling, no
-floats.
+so the rest of the window is set without stepping. Two cases take no walk:
+for trivial G (n = 1) the members are the multiples of p, and for G of index
+1 or 2 with n >= 3 they are every s >= 3, and 2 for even n, with generators
+{2, 3} (Krasner's hyperfield at n = p - 1) or {3, 4, 5}. Each minimal
+generator is the least member outside the closure of the smaller ones,
+closed in by doubling shifts; the norm route runs the same loop on its coin
+mask. Every route returns its answer as one FixtureRow (p, n, minimal
+generators), the row that fixtures and the CLI carry. All results are exact;
+no sampling, no floats.
 """
 
 from __future__ import annotations
@@ -139,24 +139,39 @@ def characteristic_bitset(p: Prime, n: int) -> CharacteristicSet:
 
     For trivial G, s ones sum to 0 mod p iff p | s, so the mask is the
     multiples of p, 0, p and 2p, with no walk; its one generator p lies in the
-    window. For the whole unit group (n = p-1 > 1; p = 2 is trivial G) the
-    quotient is Krasner's hyperfield {0, 1}, and every s >= 2 is a member:
-    if p does not divide s-1, then s-1 ones and 1-s sum to 0; otherwise s-2
-    ones and two copies of 1/2 do. A single unit is never 0, so the mask is
-    every bit of [0, 2p] but bit 1, with no walk, and the generators are
-    {2, 3}. For any other nontrivial G (n >= 2) Cauchy-Davenport gives
+    window.
+
+    For n >= 3 and 2n >= p-1, G of index 1 or 2, the mask is also a formula,
+    with no walk:
+    - (G + G) minus 0 is all of F_p^x. For h in G, c in G + G gives hc in
+      G + G, so (G + G) minus 0 is a union of cosets of G. Cauchy-Davenport
+      gives |G + G| >= min(p, 2n-1), so the union has at least
+      min(p-1, 2n-2) elements. For n >= 3 that is more than n, so more than
+      one coset: every coset when the index is 1 or 2. At p = 5, n = 2 the
+      union is only {2, 3}, hence n >= 3.
+    - Every s >= 3 is a member. Take h in G, h != 1: s-3 ones, h, and two
+      elements of G that sum to -(s-3+h). If s-3+h = 0 mod p, then s-2 is not,
+      so take s-2 ones and two elements that sum to -(s-2).
+    - s = 1 is never a member, and s = 2 is one iff -1 is in G, iff n is even.
+    So the mask is bit 0, bit 2 for even n, and bits 3..2p; the generators are
+    {2, 3} for even n (Krasner's hyperfield {0, 1} at n = p-1) and {3, 4, 5}
+    for odd n.
+
+    For any other nontrivial G (n >= 2) Cauchy-Davenport gives
     |sG| >= min(p, s(n-1)+1), which is p at s = p-1: every residue, 0
     included, is a sum of s elements for every s >= p-1. So the DP walks only
     steps 1..p-2 and bits p-1..2p are set without stepping. Each s >= 2(p-1)
     then splits as (p-1) + (s-p+1) into two members: no minimal generator
     lives at 2(p-1) or beyond, and the extraction in minimal_generating_set is
-    sound.
+    sound. Only this walk builds the subgroup.
     """
-    elements = subgroup_of_order(p, n).elements
+    check_order(p, n)
+    Prime(p)
     if n == 1:
         return CharacteristicSet(p=p, order=n, mask=1 | 1 << p | 1 << 2 * p)
-    if n == p - 1:
-        return CharacteristicSet(p=p, order=n, mask=(1 << 2 * p + 1) - 3)
+    if n >= 3 and 2 * n >= p - 1:
+        return CharacteristicSet(p=p, order=n, mask=(1 << 2 * p + 1) - (4 if n % 2 == 0 else 8) | 1)
+    elements = subgroup_of_order(p, n).elements
     residues, reach, bits = (1 << p) - 1, 1, []
     for _ in range(p - 2):
         wide = 0

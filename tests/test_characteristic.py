@@ -31,6 +31,7 @@ from conftest import (
     oracle_members_setwalk,
     oracle_minimal_generators,
     oracle_residue_steps,
+    oracle_subgroup,
     regenerate,
     subgroup_pairs,
 )
@@ -270,10 +271,12 @@ class TestResidueSteps:
         g = subgroup_of_order(Prime(p), q).generator
         assert_levels_match_rotation(p, [pow(g, j, p) for j in range(q - 1)])
 
-    @pytest.mark.parametrize("p,n", subgroup_pairs(199) + [(1009, 1), (1009, 2), (1009, 504), (1009, 1008)])
+    @pytest.mark.parametrize("p,n", subgroup_pairs(199) + [
+        (1009, 1), (1009, 2), (1009, 504), (1009, 1008), (1019, 509)])
     def test_bitset_mask_matches_per_step_assembly(self, p, n):
         # the oracle walks all 2p steps; the dp stops after p-2 for nontrivial G
-        # and reads the masks of the trivial and the whole group off formulas
+        # and reads the masks of the trivial group and of index 1 or 2 (n >= 3)
+        # off formulas; (1019, 509) has index 2 and odd n, generators {3, 4, 5}
         S = characteristic_bitset(Prime(p), n)
         mask = 1
         steps = oracle_residue_steps(p, subgroup_of_order(Prime(p), n).elements)
@@ -281,10 +284,12 @@ class TestResidueSteps:
             mask |= (reach & 1) << s
         assert S.mask == mask
 
-    @pytest.mark.parametrize("p,n,walk", [(7, 3, 5), (13, 6, 11), (13, 12, 0), (31, 1, 0), (1009, 2, 1007)])
+    @pytest.mark.parametrize("p,n,walk", [
+        (7, 3, None), (13, 6, None), (13, 12, None), (31, 1, None),
+        (13, 4, 11), (31, 10, 29), (1009, 2, 1007)])
     def test_bitset_draws_p_minus_two_steps_unless_trivial(self, monkeypatch, p, n, walk):
-        # a step is one pass over the subgroup's elements; the trivial and the
-        # whole group take none
+        # a step is one pass over the subgroup's elements; the formula rows, the
+        # trivial group and index 1 or 2 at n >= 3, build no subgroup at all
         elements = []
 
         def counted(p, n):
@@ -294,7 +299,7 @@ class TestResidueSteps:
 
         monkeypatch.setattr(characteristic, "subgroup_of_order", counted)
         characteristic_bitset(Prime(p), n)
-        assert [e.count for e in elements] == [walk]
+        assert [e.count for e in elements] == ([] if walk is None else [walk])
 
 
 class Passes(tuple):
@@ -336,6 +341,17 @@ class TestLevels:
         levels = list(_levels(Prime(p), steps))
         assert sum(new for _, _, new in levels) == (1 << p) - 2
         assert steps.count == len(levels)
+
+
+class TestIndexTwoLemma:
+    @pytest.mark.parametrize("p,n", [(p, n) for p, n in subgroup_pairs(499) if n >= 3 and 2 * n >= p - 1])
+    def test_every_unit_is_a_sum_of_two_subgroup_elements(self, p, n):
+        G = oracle_subgroup(p, n)
+        assert {(a + b) % p for a in G for b in G} - {0} == set(range(1, p))
+
+    def test_order_two_at_five_misses_a_coset(self):
+        G = oracle_subgroup(5, 2)
+        assert {(a + b) % 5 for a in G for b in G} == {0, 2, 3}
 
 
 class TestSaturationBound:

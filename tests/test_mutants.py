@@ -65,8 +65,12 @@ MUTANTS = {
         ("(wide | wide >> p) & residues", "wide & residues")], "verify"),
     "trivial-group-without-bit-2p": (characteristic.characteristic_bitset, [
         ("1 | 1 << p | 1 << 2 * p", "1 | 1 << p")], "oracle-masks"),
-    "whole-group-with-bit-1": (characteristic.characteristic_bitset, [
-        ("(1 << 2 * p + 1) - 3", "(1 << 2 * p + 1) - 1")], "oracle-masks"),
+    "index-2-odd-order-with-bit-2": (characteristic.characteristic_bitset, [
+        ("(4 if n % 2 == 0 else 8)", "4")], "oracle-masks"),
+    "index-2-formula-at-order-2": (characteristic.characteristic_bitset, [
+        ("if n >= 3 and", "if n >= 2 and")], "oracle-masks"),
+    "index-2-formula-at-index-3": (characteristic.characteristic_bitset, [
+        ("2 * n >= p - 1", "3 * n >= p - 1")], "oracle-masks"),
     "whole-group-formula-at-p-2": (characteristic.characteristic_bitset, [
         ("if n == 1:", "if n == 1 and p > 2:")], "oracle-masks"),
     "_levels-fold-dropped": (characteristic._levels, [
