@@ -10,10 +10,8 @@ from .characteristic import (
     CharacteristicSet,
     FixtureRow,
     characteristic_bitset,
-    continuity_threshold_of,
     kp_representation_check,
     minimal_generating_set,
-    monoid_minimal_generators,
 )
 from .closed_form import ClosedFormUnavailable, gen_set_closed_form
 from .harness import (
@@ -72,7 +70,6 @@ __all__ = [
     "characteristic_bitset",
     "check_axioms",
     "conjecture_scan",
-    "continuity_threshold_of",
     "cornacchia_two_squares",
     "cross_validate",
     "eisenstein_solutions",
@@ -83,7 +80,6 @@ __all__ = [
     "kp_representation_check",
     "load_fixtures",
     "minimal_generating_set",
-    "monoid_minimal_generators",
     "shipped_fixture_path",
     "subgroup_of_order",
     "table_rows",

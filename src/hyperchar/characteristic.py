@@ -53,7 +53,18 @@ class CharacteristicSet:
 
     @property
     def continuity_threshold(self) -> Optional[int]:
-        return continuity_threshold_of(self.mask, self.bound, self.p)
+        """Start of the certified all-member tail of the window, or None.
+
+        A trailing run of members certifies every larger integer only when the
+        run has length >= p: together with p itself (always a member) a run of
+        p consecutive members reaches everything beyond it. Shorter trailing
+        runs prove nothing about values past the window, so they give None.
+        """
+        # the tail starts after the highest non-member in [1, bound], or at 1
+        start = max((~self.mask & ((1 << (self.bound + 1)) - 2)).bit_length(), 1)
+        if not self.mask >> self.bound & 1 or self.bound - start + 1 < self.p:
+            return None
+        return start
 
     def __contains__(self, s: int) -> bool:
         if s > self.bound:  # the last period of the window, (p, 2p], repeats
@@ -77,8 +88,7 @@ class FixtureRow:
 
     def __post_init__(self) -> None:
         check_order(self.p, self.order)
-        if not isinstance(self.p, Prime):
-            Prime(self.p)
+        Prime(self.p)
         if list(self.generators) != sorted(set(self.generators)):
             raise ValueError("generators must be strictly increasing")
         if any(g < 1 for g in self.generators):
@@ -86,21 +96,6 @@ class FixtureRow:
 
     def as_line(self) -> str:
         return f"{int(self.p)},{self.order},{braced(self.generators)}"
-
-
-def continuity_threshold_of(mask: int, bound: int, p: int) -> Optional[int]:
-    """Start of the certified all-member tail of mask's bits [0, bound], or None.
-
-    A trailing run of members certifies every larger integer only when the run
-    has length >= p: together with p itself (always a member) a run of p
-    consecutive members reaches everything beyond it. Shorter trailing runs
-    prove nothing about values past the bound, so they return None.
-    """
-    # the tail starts after the highest non-member in [1, bound], or at 1
-    start = max((~mask & ((1 << (bound + 1)) - 2)).bit_length(), 1)
-    if not mask >> bound & 1 or bound - start + 1 < p:
-        return None
-    return start
 
 
 def _levels(p: Prime, steps: list[int]):
@@ -166,7 +161,7 @@ def characteristic_bitset(p: Prime, n: int) -> CharacteristicSet:
     sound. Only this walk builds the subgroup.
     """
     check_order(p, n)
-    Prime(p)
+    p = Prime(p)
     if n == 1:
         return CharacteristicSet(p=p, order=n, mask=1 | 1 << p | 1 << 2 * p)
     if n >= 3 and 2 * n >= p - 1:
@@ -194,29 +189,23 @@ def _close(mask: int, c: int, bound: int) -> int:
     return mask
 
 
-def _generate(mask: int, bound: int) -> tuple[int, ...]:
-    """Minimal generators of the monoid that the set bits of mask in [0, bound]
-    generate.
+def _generate(mask: int) -> tuple[int, ...]:
+    """Minimal generators of the monoid that the set bits of mask generate.
 
     A member is a minimal generator iff the monoid of the smaller generators
     misses it, so each generator is the least bit of mask outside the closure
     of those found so far, closed in by one _close pass. Sums only grow, so
-    the closure on [0, bound] decides every bit in the window.
+    the closure on [0, bound], bound the top bit of mask, decides every bit.
     """
     if mask < 0:
         raise ValueError(f"mask must be nonnegative, got {mask}")
-    mask &= (1 << (bound + 1)) - 1
+    bound = mask.bit_length() - 1
     generators, closure = [], 1
     while rest := mask & ~closure:
         g = (rest & -rest).bit_length() - 1
         generators.append(g)
         closure = _close(closure, g, bound)
     return tuple(generators)
-
-
-def monoid_minimal_generators(mask: int) -> tuple[int, ...]:
-    """Minimal generators of the monoid that the set bits of mask generate."""
-    return _generate(mask, mask.bit_length() - 1)
 
 
 def minimal_generating_set(S: CharacteristicSet) -> FixtureRow:
@@ -226,7 +215,7 @@ def minimal_generating_set(S: CharacteristicSet) -> FixtureRow:
     generator reaches 2(p-1) (see characteristic_bitset); for the trivial
     subgroup the set is {p}.
     """
-    return FixtureRow(S.p, S.order, monoid_minimal_generators(S.mask))
+    return FixtureRow(S.p, S.order, _generate(S.mask))
 
 
 def kp_representation_check(p: Prime, G: UnitSubgroup, s: int) -> bool:

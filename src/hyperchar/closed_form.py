@@ -27,9 +27,8 @@ def gen_set_closed_form(p: Prime, n: int) -> FixtureRow:
     test suite rather than trusted blindly. Raises ValueError for a p that
     is not prime.
     """
-    if not isinstance(p, Prime):
-        Prime(p)
     check_order(p, n)
+    p = Prime(p)
     if n == 1:
         return FixtureRow(p, n, (int(p),))
     if n == 2:

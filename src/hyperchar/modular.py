@@ -48,9 +48,12 @@ def is_prime(m: int) -> bool:
 
 
 class Prime(int):
-    """An int that is checked to be prime (and to fit in 64 bits) on construction."""
+    """An int that is checked to be prime (and to fit in 64 bits) on construction.
+    A Prime argument was checked when it was built, so it is returned as it is."""
 
     def __new__(cls, value: int) -> "Prime":
+        if isinstance(value, Prime):
+            return value
         if not is_prime(value):
             raise ValueError(f"{value} is not prime")
         return super().__new__(cls, value)
@@ -126,8 +129,7 @@ def find_primitive_root(p: Prime) -> int:
     Fixing the smallest root keeps every downstream element list reproducible.
     Raises ValueError for a p that is not prime; a Prime was checked when built.
     """
-    if not isinstance(p, Prime):
-        Prime(p)
+    Prime(p)
     factors = _prime_factors(p - 1)
     for g in range(1, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):

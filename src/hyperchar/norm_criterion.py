@@ -43,14 +43,16 @@ class NormCandidateSet:
         return tuple(self.witnesses)
 
 
-def _norm_steps(p: Prime, q: int) -> list[int]:
-    """The steps e_j = 1 - g^j mod p for j = 1..q-2, where g is the canonical
-    primitive q-th root mod p.
+def _norm_steps(p: int, q: int) -> tuple[Prime, Prime, list[int]]:
+    """p and q as Primes, and the steps e_j = 1 - g^j mod p for j = 1..q-2,
+    where g is the canonical primitive q-th root mod p.
 
-    Raises ValueError unless q is a prime divisor of p - 1.
+    Raises ValueError unless p is prime and q is a prime divisor of p - 1.
     """
-    g = subgroup_generator(p, q)  # the order rule, checked before primality
-    return [(1 - pow(g, j, p)) % p for j in range(1, Prime(q) - 1)]
+    check_order(p, q)  # the order rule, checked before primality
+    p, q = Prime(p), Prime(q)
+    g = subgroup_generator(p, q)
+    return p, q, [(1 - pow(g, j, p)) % p for j in range(1, q - 1)]
 
 
 def _order_three(p: Prime, step: int):
@@ -101,7 +103,7 @@ def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
     Conjugating (replacing g by g^i) permutes the same subgroup, so the
     answer does not depend on which primitive root generated g.
     """
-    steps = _norm_steps(p, q)
+    p, q, steps = _norm_steps(p, q)
     if q == 2:
         witnesses = {}
     elif q == 3:
@@ -109,7 +111,7 @@ def candidate_sums(p: Prime, q: Prime) -> NormCandidateSet:
     else:
         wit = _offset_descent(p, steps)
         witnesses = {s: wit[s] for s in range(1, p) if wit[s][0] >= 0}
-    return NormCandidateSet(p=p, q=Prime(q), witnesses=witnesses)
+    return NormCandidateSet(p=p, q=q, witnesses=witnesses)
 
 
 def generating_set_via_norm(p: Prime, q: Prime) -> FixtureRow:
@@ -127,7 +129,7 @@ def generating_set_via_norm(p: Prime, q: Prime) -> FixtureRow:
     sum to 0 mod p. Audit witnesses come from candidate_sums, which only JSON
     output calls.
     """
-    steps = _norm_steps(p, q)
+    p, q, steps = _norm_steps(p, q)
     candidates = 0
     if q == 3:
         bits = "".join("1" if a1 <= s else "0" for s, a1 in _order_three(p, steps[0]))
@@ -135,7 +137,7 @@ def generating_set_via_norm(p: Prime, q: Prime) -> FixtureRow:
     else:
         for level, _, new in _levels(p, steps):
             candidates |= new >> level << level
-    return FixtureRow(p, q, _generate(candidates | 1 << p | 1 << q, p))
+    return FixtureRow(p, q, _generate(candidates | 1 << p | 1 << q))
 
 
 def tuple_bound(p: Prime, q: Prime) -> int:

@@ -10,10 +10,8 @@ from hyperchar.characteristic import (
     CharacteristicSet,
     _levels,
     characteristic_bitset,
-    continuity_threshold_of,
     kp_representation_check,
     minimal_generating_set,
-    monoid_minimal_generators,
 )
 from hyperchar.closed_form import gen_set_closed_form
 from hyperchar.modular import Prime, subgroup_of_order
@@ -126,19 +124,19 @@ class TestMinimalGeneratingSet:
 
     def test_extraction_helper_on_plain_table(self):
         mask = as_mask(regenerate([4, 9], 30))
-        assert monoid_minimal_generators(mask) == (4, 9)
+        assert characteristic._generate(mask) == (4, 9)
 
     @pytest.mark.parametrize("p,n", subgroup_pairs(199))
     def test_matches_convolution_oracle(self, p, n):
         mask = characteristic_bitset(Prime(p), n).mask
-        assert monoid_minimal_generators(mask) == oracle_convolution_generators(mask)
+        assert characteristic._generate(mask) == oracle_convolution_generators(mask)
 
     def test_mask_not_closed_gives_generators_of_its_monoid(self):
         # 6 = 2 + 2 + 2 although 4 is missing from the mask
-        assert monoid_minimal_generators(0b1000101) == (2,)
-        assert monoid_minimal_generators(0) == ()
+        assert characteristic._generate(0b1000101) == (2,)
+        assert characteristic._generate(0) == ()
         with pytest.raises(ValueError):
-            monoid_minimal_generators(-1)
+            characteristic._generate(-1)
 
     def test_closes_once_per_generator(self, monkeypatch):
         mask = as_mask(regenerate([2, 20011], 40022))
@@ -149,7 +147,7 @@ class TestMinimalGeneratingSet:
             return original(*args)
 
         monkeypatch.setattr(characteristic, "_close", counting)
-        assert monoid_minimal_generators(mask) == (2, 20011)
+        assert characteristic._generate(mask) == (2, 20011)
         assert calls == [2, 20011]
 
 
@@ -162,32 +160,33 @@ def coin_sets(draw):
 
 
 class TestGenerate:
-    """The closing loop on a coin mask and a window [0, bound], as the norm route runs it."""
+    """The closing loop on a coin mask, as the norm route runs it: its window
+    ends at the top coin."""
 
-    @given(coin_sets(), st.integers(0, 80), st.lists(st.integers(1, 40), max_size=3))
+    @given(coin_sets(), st.integers(0, 80))
     @settings(max_examples=400, deadline=None)
-    def test_generators_regenerate_the_coins_monoid(self, coins, bound, past):
-        # coins past bound reach no member of [0, bound], so they are dropped
-        generators = characteristic._generate(coin_mask(coins + [bound + d for d in past]), bound)
-        assert max(generators, default=0) <= bound
-        assert generators == characteristic._generate(coin_mask(coins), bound)
+    def test_generators_regenerate_the_coins_monoid(self, coins, bound):
+        generators = characteristic._generate(coin_mask(coins))
+        assert set(generators) <= set(coins)
         assert regenerate(generators, bound) == regenerate(coins, bound)
 
     @given(coin_sets(), st.integers(0, 400))
     @settings(max_examples=300, deadline=None)
     def test_matches_extraction_oracles(self, coins, bound):
+        # a table on [0, bound] has the coins' generators up to bound
         member = regenerate(coins, bound)
         mask = as_mask(member)
-        generators = characteristic._generate(coin_mask(coins), bound)
-        assert generators == monoid_minimal_generators(mask) == oracle_convolution_generators(mask)
+        generators = characteristic._generate(mask)
+        assert generators == oracle_convolution_generators(mask)
+        assert generators == tuple(g for g in characteristic._generate(coin_mask(coins)) if g <= bound)
         if bound <= 120:
             assert list(generators) == oracle_minimal_generators(member)
 
     def test_zero_coin_adds_nothing_and_negative_mask_raises(self):
         generate = characteristic._generate
-        assert generate(coin_mask([3, 0]), 10) == generate(coin_mask([3]), 10) == (3,)
+        assert generate(coin_mask([3, 0])) == generate(coin_mask([3])) == (3,)
         with pytest.raises(ValueError):
-            generate(-8, 10)
+            generate(-8)
 
 
 class TestContinuityThreshold:
@@ -217,26 +216,27 @@ class TestContinuityThreshold:
         S = characteristic_bitset(Prime(p), 1)
         assert S.continuity_threshold is None
 
-    def test_field_agrees_with_helper(self):
-        S = characteristic_bitset(Prime(13), 3)
-        assert S.continuity_threshold == continuity_threshold_of(S.mask, S.bound, 13)
-
     def test_short_tail_does_not_certify(self):
         # members of a run shorter than p prove nothing about the integers
-        # beyond the table, so no threshold is reported
-        mask = 0b1110000001  # members 0, 7, 8, 9
-        assert continuity_threshold_of(mask, 9, p=11) is None
-        mask_long = 0b1111111111100001  # members 0 and 5..15
-        assert continuity_threshold_of(mask_long, 15, p=11) == 5
+        # beyond the window [0, 22], so no threshold is reported
+        short = CharacteristicSet(p=Prime(11), order=2, mask=0b11111111 << 15 | 1)  # 0, 15..22
+        assert short.continuity_threshold is None
+        assert oracle_continuity_threshold(list(short.member), 11) is None
+        run_of_p = CharacteristicSet(p=Prime(11), order=2, mask=0b11111111111 << 12 | 1)  # 0, 12..22
+        assert run_of_p.continuity_threshold == 12
+        assert oracle_continuity_threshold(list(run_of_p.member), 11) == 12
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_matches_list_scan_oracle(self, p):
-        # every mask of width 1..12, including the all-ones and zero-less ones
-        for width in range(1, 13):
-            for mask in range(1 << width):
-                member = [bool(mask >> s & 1) for s in range(width)]
-                assert continuity_threshold_of(mask, width - 1, p) == oracle_continuity_threshold(
-                    member, p), (mask, width, p)
+        # every mask on the window [0, 2p] with 0 a member, the all-ones one
+        # included, up to p = 7; at p = 11 every low 15 bits under each run of
+        # ones that ends the window
+        width = 2 * p + 1
+        low = min(width, 15)
+        runs = [(1 << width) - (1 << k) for k in range(low, width + 1)]
+        for mask in (bits | run for bits in range(1, 1 << low, 2) for run in runs):
+            S = CharacteristicSet(p=Prime(p), order=1, mask=mask)
+            assert S.continuity_threshold == oracle_continuity_threshold(list(S.member), p), (mask, p)
 
 
 # the unsorted norm powers g^0..g^(q-2) of a primitive q-th root g, q | p-1

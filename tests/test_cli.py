@@ -13,7 +13,9 @@ import pytest
 from hyperchar import cli, harness
 from hyperchar.cli import build_parser, main
 from hyperchar.harness import ROUTES, load_fixtures, parse_fixture_line, shipped_fixture_path
-from hyperchar.hyperfield import check_axioms
+from hyperchar.hyperfield import QuotientHyperfield, check_axioms
+
+from conftest import oracle_prime_orders
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -452,6 +454,30 @@ class TestAudit:
         code, out, err = run_cli(capsys, "audit", "--p-max", "1")
         assert code == 2 and out == ""
         assert "error: --p-max must be at least 2, got 1" in err
+
+    @pytest.mark.parametrize("p_max", [cli.AUDIT_MAX_P + 1, 10**18])
+    def test_p_max_past_the_limit_is_bad_args_before_any_quotient(self, capsys, monkeypatch, p_max):
+        def refuse(H):
+            raise AssertionError(f"a quotient ran at p={H.p}")
+
+        monkeypatch.setattr(cli, "check_axioms", refuse)
+        code, out, err = run_cli(capsys, "audit", "--p-max", str(p_max))
+        assert code == 2 and out == ""
+        assert err == f"error: audit takes --p-max <= {cli.AUDIT_MAX_P}, got {p_max}\n"
+
+    def test_p_max_at_the_limit_runs_every_quotient(self, capsys, monkeypatch):
+        # the golden bound 31 and the pinned 61 lie inside the limit
+        assert 61 <= cli.AUDIT_MAX_P
+        audited, ok = [], check_axioms(QuotientHyperfield(2, 1))
+
+        def passing(H):
+            audited.append((H.p, H.subgroup.order))
+            return ok
+
+        monkeypatch.setattr(cli, "check_axioms", passing)
+        code, out, _ = run_cli(capsys, "audit", "--p-max", str(cli.AUDIT_MAX_P))
+        assert code == 0 and out.endswith("all quotients passed\n")
+        assert audited == oracle_prime_orders(cli.AUDIT_MAX_P)
 
 
 class TestReadme:

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperchar import characteristic_bitset, gen_set_closed_form, generating_set_via_norm
+from hyperchar import (
+    characteristic_bitset,
+    gen_set_closed_form,
+    generating_set_via_norm,
+    minimal_generating_set,
+)
 from hyperchar.characteristic import FixtureRow
 from hyperchar.modular import (
     EisensteinPair,
@@ -70,6 +75,30 @@ class TestPrime:
         with pytest.raises(ValueError):
             Prime(bad)
 
+    def test_a_prime_is_tested_once(self, monkeypatch):
+        # building a Prime tests it; a Prime passed on is not tested again
+        tested = []
+
+        def counting(m):
+            tested.append(m)
+            return is_prime(m)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hyperchar") and getattr(module, "is_prime", None) is is_prime:
+                monkeypatch.setattr(module, "is_prime", counting)
+        primes = {m: Prime(m) for m in (13, 29, 31, 97, 2, 3, 5, 7)}
+        assert tested == list(primes)
+        for p in primes.values():
+            assert Prime(p) is p
+            for n in divisors(p - 1):
+                minimal_generating_set(characteristic_bitset(p, n))
+                if n <= 4:
+                    gen_set_closed_form(p, n)
+                if n in primes:  # the norm route at q = n
+                    candidate_sums(p, primes[n])
+                    generating_set_via_norm(p, primes[n])
+        assert tested == list(primes)
+
 
 class TestPrimitiveRoot:
     @pytest.mark.parametrize("p", SMALL_PRIMES)
@@ -103,7 +132,7 @@ def test_composite_p_is_rejected(route, p, n):
 
 
 # F_p/G exists only for n | p - 1; every entry point raises modular.check_order's
-# one message for any other n
+# one message for any other n; for a composite p too, as each checks n first
 ORDER_RULE_CALLS = {
     "FixtureRow": lambda p, n: FixtureRow(p, n, (2,)),
     "UnitSubgroup": lambda p, n: UnitSubgroup(p, n, 1, (1,)),
@@ -116,12 +145,12 @@ ORDER_RULE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("p,n", [(7, 4), (13, 5)])
+@pytest.mark.parametrize("p,n", [(7, 4), (13, 5), (15, 4)])
 def test_order_rule_has_one_message(p, n):
     messages = {}
     for name, call in ORDER_RULE_CALLS.items():
         with pytest.raises(ValueError) as raised:
-            call(Prime(p), n)
+            call(p, n)
         messages[name] = str(raised.value)
     expected = f"no subgroup of order {n} in (Z/{p}Z)^x: {n} does not divide {p - 1}"
     assert messages == dict.fromkeys(ORDER_RULE_CALLS, expected)

@@ -15,7 +15,7 @@ import textwrap
 
 import pytest
 
-from hyperchar import characteristic, hyperfield
+from hyperchar import characteristic, closed_form, harness, hyperfield, modular
 from hyperchar.harness import load_fixtures, shipped_fixture_path, validate_fixture
 from hyperchar.modular import Prime
 
@@ -54,8 +54,31 @@ def hyperfield_folds_match_dp() -> bool:
         agree(p, n, s) for p, n in subgroup_pairs(13) for s in range(2 * p + 1))
 
 
+def order_rule_refuses() -> bool:
+    """characteristic_bitset, gen_set_closed_form and FixtureRow each refuse
+    (7, 4) with the order rule's ValueError: 4 does not divide 6."""
+    def refuses(call):
+        try:
+            call(Prime(7), 4)
+        except ValueError as exc:
+            return "does not divide" in str(exc)
+        return False
+    return all(map(refuses, (characteristic.characteristic_bitset, closed_form.gen_set_closed_form,
+                             lambda p, n: characteristic.FixtureRow(p, n, (2,)))))
+
+
+def routes_take_their_max_p() -> bool:
+    """Each route, named alone, is chosen for a p of exactly its max_p."""
+    try:
+        return all(harness._select_routes(route.max_p, 2, (name,)) == ((name,), ())
+                   for name, route in harness.ROUTES.items())
+    except harness.RouteLimitError:
+        return False
+
+
 CHECKS = {"verify": shipped_rows_verify, "oracle-masks": dp_masks_match_oracle,
-          "oracle-levels": levels_match_oracle, "hyperfield-folds": hyperfield_folds_match_dp}
+          "oracle-levels": levels_match_oracle, "hyperfield-folds": hyperfield_folds_match_dp,
+          "order-rule": order_rule_refuses, "route-limits": routes_take_their_max_p}
 
 # name: (function, [(old, new) source edits], the check that kills it)
 MUTANTS = {
@@ -82,6 +105,14 @@ MUTANTS = {
     "n_fold_sums-misses-the-fixed-point": (hyperfield.QuotientHyperfield.n_fold_sums, [
         ("if nxt == fold:", "if False:")], "hyperfield-folds"),
     "_close-tripling": (characteristic._close, [("c *= 2", "c *= 3")], "verify"),
+    "_generate-closes-only-the-generator": (characteristic._generate, [
+        ("closure = _close(closure, g, bound)", "closure |= 1 << g")], "verify"),
+    "_cornacchia-wrong-root-of-minus-3": (modular._cornacchia, [
+        ("2 * z + 1", "2 * z - 1")], "verify"),
+    "check_order-without-divisibility": (modular.check_order, [
+        ("n < 1 or (p - 1) % n != 0", "n < 1")], "order-rule"),
+    "_select_routes-excludes-max_p": (harness._select_routes, [
+        ("if p <= ROUTES[name].max_p", "if p < ROUTES[name].max_p")], "route-limits"),
 }
 
 

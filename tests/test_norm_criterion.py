@@ -72,9 +72,9 @@ def closure_coins(monkeypatch):
     original = norm_criterion._generate
     coins = []
 
-    def recording(given, bound):
+    def recording(given):
         coins.append(given)
-        return original(given, bound)
+        return original(given)
 
     monkeypatch.setattr(norm_criterion, "_generate", recording)
     return coins
