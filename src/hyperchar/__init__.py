@@ -33,7 +33,6 @@ from .modular import (
     EisensteinPair,
     Prime,
     TwoSquares,
-    UnitSubgroup,
     cornacchia_two_squares,
     eisenstein_solutions,
     find_primitive_root,
@@ -64,7 +63,6 @@ __all__ = [
     "RouteComparison",
     "RouteLimitError",
     "TwoSquares",
-    "UnitSubgroup",
     "ValidationReport",
     "candidate_sums",
     "characteristic_bitset",

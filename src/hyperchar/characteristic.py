@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import count
 from typing import Iterable, Optional
 
-from .modular import Prime, UnitSubgroup, check_order, subgroup_of_order
+from .modular import Prime, check_order, subgroup_of_order
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def characteristic_bitset(p: Prime, n: int) -> CharacteristicSet:
         return CharacteristicSet(p=p, order=n, mask=1 | 1 << p | 1 << 2 * p)
     if n >= 3 and 2 * n >= p - 1:
         return CharacteristicSet(p=p, order=n, mask=(1 << 2 * p + 1) - (4 if n % 2 == 0 else 8) | 1)
-    elements = subgroup_of_order(p, n).elements
+    elements = subgroup_of_order(p, n)
     residues, reach, bits = (1 << p) - 1, 1, []
     for _ in range(p - 2):
         wide = 0
@@ -218,8 +218,9 @@ def minimal_generating_set(S: CharacteristicSet) -> FixtureRow:
     return FixtureRow(S.p, S.order, _generate(S.mask))
 
 
-def kp_representation_check(p: Prime, G: UnitSubgroup, s: int) -> bool:
-    """Decide membership of s in char(F_p/G) without the residue DP.
+def kp_representation_check(p: Prime, n: int, s: int) -> bool:
+    """Decide membership of s in char(F_p/G), G the order-n unit subgroup,
+    without the residue DP.
 
     s is a member iff some deficit t = kp - s >= 0 is a sum of at most s terms
     g - 1 (g in G, g > 1): a zero-sum multiset of s elements, b_i copies of
@@ -229,16 +230,16 @@ def kp_representation_check(p: Prime, G: UnitSubgroup, s: int) -> bool:
     _levels that first reaches r, and no level if the BFS ends first. Trivial
     G has no steps, so the BFS reaches nothing and s is a member iff p | s. By
     Cauchy-Davenport the s-fold sumset of G has at least min(p, s(n-1)+1)
-    residues, so every s >= ceil((p-1)/(n-1)) is a member with no BFS; below
-    it s < p for nontrivial G, and the BFS stops once its level passes s,
-    each level a mask of p bits.
+    residues, so every s >= ceil((p-1)/(n-1)) is a member with no BFS and no
+    subgroup; below it s < p for nontrivial G, and the BFS stops once its
+    level passes s, each level a mask of p bits.
     """
-    if G.p != p:
-        raise ValueError(f"G is a subgroup mod {G.p}, not mod {p}")
+    check_order(p, n)
+    p = Prime(p)
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
-    if s % p == 0 or s * (G.order - 1) >= p - 1:
+    if s % p == 0 or s * (n - 1) >= p - 1:
         return True
-    steps = [(1 - g) % p for g in G.elements if g != 1]
+    steps = [(1 - g) % p for g in subgroup_of_order(p, n) if g != 1]
     levels = (level for level, _, new in _levels(p, steps) if new >> s & 1 or level > s)
     return next(levels, s + 1) <= s

@@ -46,7 +46,7 @@ class Route(NamedTuple):
 # alone: a dp step shifts once per subgroup element and a norm BFS level once
 # per step 1 - g^j, so large orders cost more (norm at q = (p-1)/2 took 4.1 s
 # at p = 240587 and 135 s at 1000667). A cost limit per (p, n) waits for the
-# saturating walk, which stops after about p/(n-1) steps.
+# dp's level mask, fewer than 2p shifts for any n (ROADMAP item 2, after 1a).
 DP_MAX_P = 240_000
 NORM_MAX_P = 1_500_000
 

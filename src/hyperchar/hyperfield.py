@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Callable, Iterable
 
-from .modular import Prime, UnitSubgroup, subgroup_of_order
+from .modular import Prime, check_order, subgroup_of_order
 
 
 class QuotientHyperfield:
@@ -24,14 +24,15 @@ class QuotientHyperfield:
     """
 
     def __init__(self, p: int, n: int):
-        p = Prime(p)
-        self.p = p
-        self.subgroup: UnitSubgroup = subgroup_of_order(p, n)
+        check_order(p, n)
+        self.p = p = Prime(p)
+        self.order = n
+        elements = subgroup_of_order(p, n)
         rep = [0] * p
         orbits: dict[int, tuple[int, ...]] = {0: (0,)}
         for r in range(1, p):
             if not rep[r]:  # no smaller residue shares r's orbit, so r is its least member
-                orbits[r] = orbit = tuple(sorted(r * g % p for g in self.subgroup.elements))
+                orbits[r] = orbit = tuple(sorted(r * g % p for g in elements))
                 for m in orbit:
                     rep[m] = r
         self._rep = tuple(rep)
@@ -41,7 +42,7 @@ class QuotientHyperfield:
         self.one = self._rep[1]
 
     def __repr__(self) -> str:
-        return f"QuotientHyperfield(p={int(self.p)}, n={self.subgroup.order})"
+        return f"QuotientHyperfield(p={int(self.p)}, n={self.order})"
 
     def class_of(self, value: int) -> int:
         """Canonical representative of the class containing an integer."""

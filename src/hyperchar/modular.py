@@ -60,25 +60,6 @@ class Prime(int):
 
 
 @dataclass(frozen=True)
-class UnitSubgroup:
-    """The unique subgroup of (Z/pZ)^x of a given order.
-
-    `elements` is the full sorted orbit of `generator`; it always contains 1,
-    is closed under multiplication mod p, and has exactly `order` members.
-    """
-
-    p: Prime
-    order: int
-    generator: int
-    elements: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        check_order(self.p, self.order)
-        if len(self.elements) != self.order or 1 not in self.elements:
-            raise ValueError("element list does not match the subgroup order")
-
-
-@dataclass(frozen=True)
 class TwoSquares:
     """Solution of a^2 + b^2 = p with a >= b > 0."""
 
@@ -150,8 +131,10 @@ def subgroup_generator(p: Prime, n: int) -> int:
     return pow(find_primitive_root(p), (p - 1) // n, p)
 
 
-def subgroup_of_order(p: Prime, n: int) -> UnitSubgroup:
-    """The unique order-n subgroup of (Z/pZ)^x, built uncached from subgroup_generator(p, n)."""
+def subgroup_of_order(p: Prime, n: int) -> tuple[int, ...]:
+    """The sorted elements of the unique order-n subgroup of (Z/pZ)^x, built
+    uncached as the powers of subgroup_generator(p, n). The subgroup is named
+    by (p, n) alone: F_p^x is cyclic, with one subgroup of each order n | p-1."""
     h = subgroup_generator(p, n)
     elements = []
     x = 1
@@ -160,7 +143,7 @@ def subgroup_of_order(p: Prime, n: int) -> UnitSubgroup:
         x = x * h % p
     if x != 1 or len(set(elements)) != n:
         raise AssertionError(f"generator {h} has wrong order for subgroup ({p}, {n})")
-    return UnitSubgroup(p=p, order=n, generator=h, elements=tuple(sorted(elements)))
+    return tuple(sorted(elements))
 
 
 def _cornacchia(p: int, d: int) -> tuple[int, int]:

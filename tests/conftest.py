@@ -304,14 +304,14 @@ def fp_norm(coeffs, p: int, q: int) -> int:
     primitive q-th root mod p; this is congruent mod p to the cyclotomic
     norm, so norm-vanishing can be tested without leaving F_p.
     """
-    from hyperchar.modular import subgroup_of_order
+    from hyperchar.modular import subgroup_generator
 
     if q < 2 or not oracle_is_prime(q) or (p - 1) % q != 0:
         raise ValueError(f"q must be a prime divisor of p-1, got q={q}, p={p}")
     coeffs = list(coeffs)
     if len(coeffs) != q - 1:
         raise ValueError(f"expected {q - 1} coefficients, got {len(coeffs)}")
-    g = subgroup_of_order(p, int(q)).generator
+    g = subgroup_generator(p, int(q))
     out = 1
     for i in range(1, q):
         x = pow(g, i, p)
@@ -339,10 +339,10 @@ def oracle_candidate_sums(p: int, q: int):
     """Norm candidates with greedy witnesses, by walking all p-1 residue steps,
     keeping every mask and backtracking each candidate s through s of them.
     Cached: several tests check the same pairs; callers must not mutate it."""
-    from hyperchar.modular import Prime, subgroup_of_order
+    from hyperchar.modular import Prime, subgroup_generator
     from hyperchar.norm_criterion import NormCandidateSet
 
-    g = subgroup_of_order(p, q).generator
+    g = subgroup_generator(p, q)
     powers = [pow(g, j, p) for j in range(q - 1)]
     masks = [1, *itertools.islice(oracle_residue_steps(p, powers), p - 1)]
 
@@ -380,9 +380,9 @@ def oracle_saturating_walk(p: int, q: int):
     first full mask or after p - 1 steps, and sums are the candidates s in
     [1, p-1], bit 0 of masks[s] or any s past the full mask, since full +
     powers = full."""
-    from hyperchar.modular import subgroup_of_order
+    from hyperchar.modular import subgroup_generator
 
-    g = subgroup_of_order(p, q).generator
+    g = subgroup_generator(p, q)
     powers = [pow(g, j, p) for j in range(q - 1)]
     full = (1 << p) - 1
     masks = [1]

@@ -17,7 +17,7 @@ from hyperchar.characteristic import (
 from hyperchar.closed_form import gen_set_closed_form
 from hyperchar.harness import conjecture_scan, load_fixtures, shipped_fixture_path
 from hyperchar.hyperfield import QuotientHyperfield, check_axioms
-from hyperchar.modular import Prime, is_prime, subgroup_of_order
+from hyperchar.modular import Prime, is_prime
 from hyperchar.norm_criterion import candidate_sums, generating_set_via_norm, tuple_bound
 
 
@@ -112,9 +112,8 @@ def test_criterion_07_kp_representation():
             if (p - 1) % n != 0:
                 continue
             S = characteristic_bitset(prime, n)
-            G = subgroup_of_order(prime, n)
             for s in range(0, 2 * (p - 1) + 1):
-                assert kp_representation_check(prime, G, s) == S.member[s], (p, n, s)
+                assert kp_representation_check(prime, n, s) == S.member[s], (p, n, s)
 
 
 def test_criterion_08_conjecture_scan():

@@ -1,4 +1,3 @@
-import dataclasses
 from itertools import combinations, islice
 
 import pytest
@@ -14,7 +13,7 @@ from hyperchar.characteristic import (
     minimal_generating_set,
 )
 from hyperchar.closed_form import gen_set_closed_form
-from hyperchar.modular import Prime, subgroup_of_order
+from hyperchar.modular import Prime, subgroup_generator, subgroup_of_order
 
 from conftest import (
     SMALL_PRIMES,
@@ -264,11 +263,11 @@ def assert_levels_match_rotation(p, steps):
 class TestResidueSteps:
     @pytest.mark.parametrize("p,n", subgroup_pairs(199))
     def test_subgroup_steps_match_rotation_oracle(self, p, n):
-        assert_levels_match_rotation(p, subgroup_of_order(Prime(p), n).elements)
+        assert_levels_match_rotation(p, subgroup_of_order(Prime(p), n))
 
     @pytest.mark.parametrize("p,q", NORM_POWERS_300)
     def test_norm_power_steps_match_rotation_oracle(self, p, q):
-        g = subgroup_of_order(Prime(p), q).generator
+        g = subgroup_generator(Prime(p), q)
         assert_levels_match_rotation(p, [pow(g, j, p) for j in range(q - 1)])
 
     @pytest.mark.parametrize("p,n", subgroup_pairs(199) + [
@@ -279,7 +278,7 @@ class TestResidueSteps:
         # off formulas; (1019, 509) has index 2 and odd n, generators {3, 4, 5}
         S = characteristic_bitset(Prime(p), n)
         mask = 1
-        steps = oracle_residue_steps(p, subgroup_of_order(Prime(p), n).elements)
+        steps = oracle_residue_steps(p, subgroup_of_order(Prime(p), n))
         for s, reach in enumerate(islice(steps, S.bound), 1):
             mask |= (reach & 1) << s
         assert S.mask == mask
@@ -293,9 +292,8 @@ class TestResidueSteps:
         elements = []
 
         def counted(p, n):
-            G = subgroup_of_order(p, n)
-            elements.append(Passes(G.elements))
-            return dataclasses.replace(G, elements=elements[-1])
+            elements.append(Passes(subgroup_of_order(p, n)))
+            return elements[-1]
 
         monkeypatch.setattr(characteristic, "subgroup_of_order", counted)
         characteristic_bitset(Prime(p), n)
@@ -337,7 +335,7 @@ class TestLevels:
     @pytest.mark.parametrize("p,n", [(13, 12), (13, 3), (31, 5), (1009, 2), (1009, 504)])
     def test_stops_on_the_level_that_fills_z_p(self, p, n):
         # nonzero steps reach every residue; no pass over them follows the last one found
-        steps = Passes((1 - g) % p for g in subgroup_of_order(Prime(p), n).elements if g != 1)
+        steps = Passes((1 - g) % p for g in subgroup_of_order(Prime(p), n) if g != 1)
         levels = list(_levels(Prime(p), steps))
         assert sum(new for _, _, new in levels) == (1 << p) - 2
         assert steps.count == len(levels)
@@ -359,7 +357,7 @@ class TestSaturationBound:
     def test_every_residue_reachable_by_cauchy_davenport_step(self, p, n):
         # |kG| >= min(p, k(n-1)+1), so the reach mask is full at k = ceil((p-1)/(n-1))
         k = -(-(p - 1) // (n - 1))
-        steps = oracle_residue_steps(p, subgroup_of_order(Prime(p), n).elements)
+        steps = oracle_residue_steps(p, subgroup_of_order(Prime(p), n))
         assert next(islice(steps, k - 1, None)) == (1 << p) - 1, (p, n, k)
 
 
@@ -368,25 +366,23 @@ class TestKpRepresentation:
     def test_matches_membership_table(self, p, n):
         prime = Prime(p)
         S = characteristic_bitset(prime, n)
-        G = subgroup_of_order(prime, n)
         for s in range(0, 2 * (p - 1) + 1):
-            assert kp_representation_check(prime, G, s) == S.member[s], (p, n, s)
+            assert kp_representation_check(prime, n, s) == S.member[s], (p, n, s)
 
     @pytest.mark.parametrize("p,n", subgroup_pairs(31))
     def test_matches_setwalk_oracle(self, p, n):
         prime = Prime(p)
-        G = subgroup_of_order(prime, n)
         oracle = oracle_members_setwalk(p, n, 2 * (p - 1))
         for s, expected in enumerate(oracle):
-            assert kp_representation_check(prime, G, s) == expected, (p, n, s)
+            assert kp_representation_check(prime, n, s) == expected, (p, n, s)
 
     @pytest.mark.parametrize("p,n", subgroup_pairs(59))
     def test_matches_list_table_oracle(self, p, n):
         prime = Prime(p)
-        G = subgroup_of_order(prime, n)
+        G = oracle_subgroup(p, n)
         for s in range(0, 3 * p):
-            expected = oracle_kp_check(p, G.elements, s)
-            assert kp_representation_check(prime, G, s) == expected, (p, n, s)
+            expected = oracle_kp_check(p, G, s)
+            assert kp_representation_check(prime, n, s) == expected, (p, n, s)
 
     @pytest.mark.parametrize(
         "p,n", [(509, 4), (1009, 3), (1009, 7), (1009, 9), (2003, 7), (2003, 11), (2003, 13)]
@@ -394,13 +390,12 @@ class TestKpRepresentation:
     def test_matches_membership_near_threshold_at_large_p(self, p, n):
         prime = Prime(p)
         S = characteristic_bitset(prime, n)
-        G = subgroup_of_order(prime, n)
         threshold = S.continuity_threshold
         assert threshold - 1 not in S
         # ceil((p-1)/(n-1)) - 1 is the largest s below the Cauchy-Davenport shortcut
         last_tabled = -(-(p - 1) // (n - 1)) - 1
         for s in (threshold - 1, threshold, last_tabled - 1, last_tabled):
-            assert kp_representation_check(prime, G, s) == (s in S), (p, n, s)
+            assert kp_representation_check(prime, n, s) == (s in S), (p, n, s)
 
     def test_level_walk_stops_by_the_cauchy_davenport_level(self, monkeypatch):
         # the largest s below the shortcut draws at most ceil((p-1)/(n-1))
@@ -417,19 +412,18 @@ class TestKpRepresentation:
         for p, n in [(p, n) for p, n in subgroup_pairs(199) if n >= 2]:
             last_tabled = -(-(p - 1) // (n - 1)) - 1
             drawn.clear()
-            kp_representation_check(Prime(p), subgroup_of_order(Prime(p), n), last_tabled)
+            kp_representation_check(Prime(p), n, last_tabled)
             assert len(drawn) == 1 and 1 <= drawn[0] <= last_tabled + 1, (p, n, drawn)
         for p, n in [(10007, 2), (20011, 2), (10009, 3), (10009, 4)]:
             prime = Prime(p)
-            G = subgroup_of_order(prime, n)
             last_tabled = -(-(p - 1) // (n - 1)) - 1
             member = regenerate(gen_set_closed_form(prime, n).generators, last_tabled)
             for s in (last_tabled - 1, last_tabled):
-                assert kp_representation_check(prime, G, s) == member[s], (p, n, s)
+                assert kp_representation_check(prime, n, s) == member[s], (p, n, s)
 
     def test_large_count_needs_no_table(self, monkeypatch):
-        # without the Cauchy-Davenport shortcut this runs the level BFS over
-        # Z/421 until the level passes s
+        # without the Cauchy-Davenport shortcut this builds the subgroup and
+        # runs the level BFS over Z/421 until the level passes s
         original, calls = characteristic._levels, []
 
         def counting(*args):
@@ -437,20 +431,14 @@ class TestKpRepresentation:
             return original(*args)
 
         monkeypatch.setattr(characteristic, "_levels", counting)
-        assert kp_representation_check(Prime(421), subgroup_of_order(Prime(421), 210), 840)
+        monkeypatch.setattr(characteristic, "subgroup_of_order", None)
+        assert kp_representation_check(Prime(421), 210, 840)
         assert calls == []
 
     def test_trivial_subgroup(self):
-        G = subgroup_of_order(Prime(7), 1)
-        assert kp_representation_check(Prime(7), G, 14)
-        assert not kp_representation_check(Prime(7), G, 13)
+        assert kp_representation_check(Prime(7), 1, 14)
+        assert not kp_representation_check(Prime(7), 1, 13)
 
     def test_rejects_negative(self):
-        G = subgroup_of_order(Prime(7), 3)
         with pytest.raises(ValueError):
-            kp_representation_check(Prime(7), G, -1)
-
-    def test_rejects_subgroup_of_another_prime(self, monkeypatch):
-        monkeypatch.setattr(characteristic, "_levels", None)  # no work before the check
-        with pytest.raises(ValueError, match="mod 13, not mod 7"):
-            kp_representation_check(Prime(7), subgroup_of_order(Prime(13), 3), 2)
+            kp_representation_check(Prime(7), 3, -1)

@@ -431,7 +431,7 @@ class TestAudit:
     def test_failed_quotient(self, capsys, monkeypatch):
         def one_failure(H):
             report = check_axioms(H)
-            if (H.p, H.subgroup.order) != (5, 2):
+            if (H.p, H.order) != (5, 2):
                 return report
             return dataclasses.replace(report, associativity_ok=False,
                                        counterexamples=[("associativity", (1, 2, 2))])
@@ -471,7 +471,7 @@ class TestAudit:
         audited, ok = [], check_axioms(QuotientHyperfield(2, 1))
 
         def passing(H):
-            audited.append((H.p, H.subgroup.order))
+            audited.append((H.p, H.order))
             return ok
 
         monkeypatch.setattr(cli, "check_axioms", passing)
@@ -500,6 +500,20 @@ class TestReadme:
         for argv, comment in examples:
             code, out, _ = run_cli(capsys, *argv)
             assert (code, out) == (0, comment + "\n"), argv
+
+    def test_library_example_runs_and_shows_its_values(self):
+        # a comment that opens with a lowercase word is prose; any other on an
+        # expression line opens with the repr of the expression's value
+        text = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+        block = text.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(block, namespace)
+        claims = [line.split("#", 1) for line in block.splitlines() if "#" in line]
+        claims = [(code.strip(), comment.strip()) for code, comment in claims
+                  if "=" not in code and not re.match(r"[a-z]+\b(?!\()", comment.strip())]
+        assert len(claims) >= 6
+        for code, comment in claims:
+            assert comment.startswith(repr(eval(code, namespace))), (code, comment)
 
 
 class TestProcessLevel:

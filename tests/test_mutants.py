@@ -15,11 +15,19 @@ import textwrap
 
 import pytest
 
-from hyperchar import characteristic, closed_form, harness, hyperfield, modular
+from hyperchar import characteristic, closed_form, harness, hyperfield, modular, norm_criterion
 from hyperchar.harness import load_fixtures, shipped_fixture_path, validate_fixture
 from hyperchar.modular import Prime
 
-from conftest import as_mask, oracle_bfs_levels, oracle_members_setwalk, oracle_subgroup, subgroup_pairs
+from conftest import (
+    as_mask,
+    oracle_bfs_levels,
+    oracle_candidate_sums,
+    oracle_is_prime,
+    oracle_members_setwalk,
+    oracle_subgroup,
+    subgroup_pairs,
+)
 
 
 def shipped_rows_verify() -> bool:
@@ -76,9 +84,23 @@ def routes_take_their_max_p() -> bool:
         return False
 
 
+def norm_witnesses_hold() -> bool:
+    """candidate_sums gives the oracle's sums for q in {3, 5, 7} and every
+    prime p < 200 with q | p - 1, and each witness (a_0, ..., a_{q-2}) sums to
+    its s with sum a_j g^j = 0 mod p, g = subgroup_generator(p, q)."""
+    def holds(p, q):
+        found = norm_criterion.candidate_sums(Prime(p), Prime(q))
+        g = modular.subgroup_generator(Prime(p), q)
+        return found.sums == oracle_candidate_sums(p, q).sums and all(
+            sum(w) == s and sum(a * pow(g, j, p) for j, a in enumerate(w)) % p == 0
+            for s, w in found.witnesses.items())
+    return all(holds(p, q) for q in (3, 5, 7) for p in range(q + 1, 200, q) if oracle_is_prime(p))
+
+
 CHECKS = {"verify": shipped_rows_verify, "oracle-masks": dp_masks_match_oracle,
           "oracle-levels": levels_match_oracle, "hyperfield-folds": hyperfield_folds_match_dp,
-          "order-rule": order_rule_refuses, "route-limits": routes_take_their_max_p}
+          "order-rule": order_rule_refuses, "route-limits": routes_take_their_max_p,
+          "norm-witnesses": norm_witnesses_hold}
 
 # name: (function, [(old, new) source edits], the check that kills it)
 MUTANTS = {
@@ -113,6 +135,12 @@ MUTANTS = {
         ("n < 1 or (p - 1) % n != 0", "n < 1")], "order-rule"),
     "_select_routes-excludes-max_p": (harness._select_routes, [
         ("if p <= ROUTES[name].max_p", "if p < ROUTES[name].max_p")], "route-limits"),
+    "_offset_descent-counts-a-step-twice": (norm_criterion._offset_descent, [
+        ("w[j] + 1", "w[j] + 2")], "norm-witnesses"),
+    "_order_three-wrong-inverse": (norm_criterion._order_three, [
+        ("pow(step, -1, p)", "pow(step, -1, p) + 1")], "norm-witnesses"),
+    "generating_set_via_norm-keeps-sums-below-their-level": (norm_criterion.generating_set_via_norm, [
+        ("new >> level << level", "new")], "verify"),
 }
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hyperchar import characteristic, norm_criterion
 from hyperchar.characteristic import FixtureRow, characteristic_bitset, minimal_generating_set
 from hyperchar.harness import load_fixtures, shipped_fixture_path
-from hyperchar.modular import Prime, subgroup_of_order
+from hyperchar.modular import Prime, subgroup_generator
 from hyperchar.norm_criterion import candidate_sums, generating_set_via_norm, tuple_bound
 
 from conftest import (as_mask, coin_mask, fp_norm, oracle_candidate_sums,
@@ -130,7 +130,7 @@ class TestFpNorm:
 class TestReduction:
     def test_preserves_conjugate_evaluations(self):
         p, q = Prime(13), Prime(3)
-        g = subgroup_of_order(p, 3).generator
+        g = subgroup_generator(p, 3)
         full = [5, 7, 11]
         reduced = reduce_cyclotomic_coeffs(full, p)
         for i in range(1, q):
@@ -174,10 +174,10 @@ class TestCandidateSums:
         # replacing g by any other generator of the same subgroup leaves the
         # candidate set unchanged
         for p, q in [(31, 5), (29, 7), (13, 3)]:
-            G = subgroup_of_order(Prime(p), q)
+            h = subgroup_generator(Prime(p), q)
             base = set(candidate_sums(Prime(p), Prime(q)).sums)
             for i in range(2, q):
-                powers = [pow(G.generator, i * j, p) for j in range(q - 1)]
+                powers = [pow(h, i * j, p) for j in range(q - 1)]
                 reach = {0}
                 hits = set()
                 for s in range(1, p):
