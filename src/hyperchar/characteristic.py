@@ -6,10 +6,11 @@ bitmasks: bit r of the step-k mask says "some sum of exactly k subgroup elements
 is congruent to r mod p". A step shifts the mask by every element into one
 wide int and folds the wrapped bits p..2p-2 back once. For nontrivial G the
 walk stops after p-2 steps: by Cauchy-Davenport every s >= p-1 is a member,
-so the rest of the window is set without stepping. Two cases take no walk:
-for trivial G (n = 1) the members are the multiples of p, and for G of index
-1 or 2 with n >= 3 they are every s >= 3, and 2 for even n, with generators
-{2, 3} (Krasner's hyperfield at n = p - 1) or {3, 4, 5}. Each minimal
+so the rest of the window is set without stepping. Three cases take no walk:
+for trivial G (n = 1) the members are the multiples of p; for G = {1, -1}
+(n = 2) they are the even s and the s >= p, with generators {2, p}; and for G
+of index 1 or 2 with n >= 3 they are every s >= 3, and 2 for even n, with
+generators {2, 3} (Krasner's hyperfield at n = p - 1) or {3, 4, 5}. Each minimal
 generator is the least member outside the closure of the smaller ones,
 closed in by doubling shifts; the norm route runs the same loop on its coin
 mask. Every route returns its answer as one FixtureRow (p, n, minimal
@@ -136,6 +137,12 @@ def characteristic_bitset(p: Prime, n: int) -> CharacteristicSet:
     multiples of p, 0, p and 2p, with no walk; its one generator p lies in the
     window.
 
+    For G = {1, -1} (n = 2) the mask is a formula too, with no walk. A sum of
+    s elements is an integer of the parity of s in [-s, s], so it is 0 mod p
+    iff it is 0, for even s, or +-p, for odd s >= p; 2p is even, so no odd sum
+    reaches it. The mask is the even bits of [0, 2p] and the odd bits of
+    [p, 2p], and the generators are {2, p}.
+
     For n >= 3 and 2n >= p-1, G of index 1 or 2, the mask is also a formula,
     with no walk:
     - (G + G) minus 0 is all of F_p^x. For h in G, c in G + G gives hc in
@@ -152,7 +159,7 @@ def characteristic_bitset(p: Prime, n: int) -> CharacteristicSet:
     {2, 3} for even n (Krasner's hyperfield {0, 1} at n = p-1) and {3, 4, 5}
     for odd n.
 
-    For any other nontrivial G (n >= 2) Cauchy-Davenport gives
+    For any other G (n >= 3) Cauchy-Davenport gives
     |sG| >= min(p, s(n-1)+1), which is p at s = p-1: every residue, 0
     included, is a sum of s elements for every s >= p-1. So the DP walks only
     steps 1..p-2 and bits p-1..2p are set without stepping. Each s >= 2(p-1)
@@ -164,7 +171,10 @@ def characteristic_bitset(p: Prime, n: int) -> CharacteristicSet:
     p = Prime(p)
     if n == 1:
         return CharacteristicSet(p=p, order=n, mask=1 | 1 << p | 1 << 2 * p)
-    if n >= 3 and 2 * n >= p - 1:
+    if n == 2:  # the even bits of [0, 2p] and the odd bits of [p, 2p]
+        evens, odd_tail = ((1 << 2 * p + 2) - 1) // 3, ((1 << p + 1) - 1) // 3 << p
+        return CharacteristicSet(p=p, order=n, mask=evens | odd_tail)
+    if 2 * n >= p - 1:
         return CharacteristicSet(p=p, order=n, mask=(1 << 2 * p + 1) - (4 if n % 2 == 0 else 8) | 1)
     elements = subgroup_of_order(p, n)
     residues, reach, bits = (1 << p) - 1, 1, []

@@ -21,18 +21,18 @@ def gen_set_closed_form(p: Prime, n: int) -> FixtureRow:
     Order 1 gives {p}; order 2 gives {2, p}; order 3 gives {3, a+b, 2a-b}
     from a^2 - ab + b^2 = p with a > b > 0; order 4 gives {2, a+b} from
     a^2 + b^2 = p with a > b > 0. Requiring n | p-1 already forces p into
-    the range where each formula applies (p >= 7 for order 3, p >= 5 for
-    order 4), so no separate size check is needed. The output is sorted and
-    deduplicated; minimality is re-verified against the table route in the
-    test suite rather than trusted blindly. Raises ValueError for a p that
-    is not prime.
+    the range where each formula applies (p >= 3 for order 2, p >= 7 for
+    order 3, p >= 5 for order 4), so no separate size check is needed. The
+    output is sorted and deduplicated; minimality is re-verified against the
+    table route in the test suite rather than trusted blindly. Raises
+    ValueError for a p that is not prime.
     """
     check_order(p, n)
     p = Prime(p)
     if n == 1:
         return FixtureRow(p, n, (int(p),))
     if n == 2:
-        return FixtureRow(p, n, tuple(sorted({2, int(p)})))
+        return FixtureRow(p, n, (2, int(p)))
     if n == 3:
         sol, _ = eisenstein_solutions(p)
         a, b = sol.a, sol.b

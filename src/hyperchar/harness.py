@@ -39,14 +39,18 @@ class Route(NamedTuple):
 
 
 # Each walking route takes p up to where its small orders finish `genset` in
-# about 10 s (Python 3.11.7, 2 cores). dp: n = 2 took 9.3 s at p = 239999 and
-# 14 s at 250007. norm: JSON output, which builds a witness per residue, took
-# 8.1-9.0 s at q = 5, 7, 11, 13 near p = 1.5e6 and 11-14 s near 2e6; plain
-# output at q = 2, 3, 5, 7 took under 0.5 s near 1.5e6. Both limits bound p
-# alone: a dp step shifts once per subgroup element and a norm BFS level once
-# per step 1 - g^j, so large orders cost more (norm at q = (p-1)/2 took 4.1 s
-# at p = 240587 and 135 s at 1000667). A cost limit per (p, n) waits for the
-# dp's level mask, fewer than 2p shifts for any n (ROADMAP item 2, after 1a).
+# about 10 s (Python 3.11.7, 2 cores). dp: orders 1 and 2 and index 1 and 2
+# are formulas, and the smallest walked order, n = 3, took 10.7-12.2 s at
+# p = 239977, about what n = 2 took when it walked (9.0-11.4 s at 239999).
+# norm: JSON output, which builds a witness per residue, took 8.1-9.0 s at
+# q = 5, 7, 11, 13 near p = 1.5e6 and 11-14 s near 2e6; plain output at
+# q = 2, 3, 5, 7 took under 0.5 s near 1.5e6. Both limits bound p alone: a dp
+# step shifts once per subgroup element and a norm BFS level once per step
+# 1 - g^j, so large orders cost more. The dp limit does not bound an order of
+# index 3 or more near it: (239977, 79992) would walk about 1.9e10 shifts.
+# norm at q = (p-1)/2 took 4.1 s at p = 240587 and 135 s at 1000667. A cost
+# limit per (p, n) waits for the dp's level mask, fewer than 2p shifts for any
+# n (ROADMAP item 2, after 1a).
 DP_MAX_P = 240_000
 NORM_MAX_P = 1_500_000
 

@@ -274,8 +274,9 @@ class TestResidueSteps:
         (1009, 1), (1009, 2), (1009, 504), (1009, 1008), (1019, 509)])
     def test_bitset_mask_matches_per_step_assembly(self, p, n):
         # the oracle walks all 2p steps; the dp stops after p-2 for nontrivial G
-        # and reads the masks of the trivial group and of index 1 or 2 (n >= 3)
-        # off formulas; (1019, 509) has index 2 and odd n, generators {3, 4, 5}
+        # and reads the masks of the trivial group, of {1, -1} and of index 1 or
+        # 2 (n >= 3) off formulas; (1019, 509) has index 2 and odd n, generators
+        # {3, 4, 5}
         S = characteristic_bitset(Prime(p), n)
         mask = 1
         steps = oracle_residue_steps(p, subgroup_of_order(Prime(p), n))
@@ -285,10 +286,11 @@ class TestResidueSteps:
 
     @pytest.mark.parametrize("p,n,walk", [
         (7, 3, None), (13, 6, None), (13, 12, None), (31, 1, None),
-        (13, 4, 11), (31, 10, 29), (1009, 2, 1007)])
+        (1009, 2, None), (13, 4, 11), (31, 10, 29), (1009, 3, 1007)])
     def test_bitset_draws_p_minus_two_steps_unless_trivial(self, monkeypatch, p, n, walk):
         # a step is one pass over the subgroup's elements; the formula rows, the
-        # trivial group and index 1 or 2 at n >= 3, build no subgroup at all
+        # trivial group, {1, -1} and index 1 or 2 at n >= 3, build no subgroup
+        # at all; (1009, 3) has index 336
         elements = []
 
         def counted(p, n):
@@ -350,6 +352,26 @@ class TestIndexTwoLemma:
     def test_order_two_at_five_misses_a_coset(self):
         G = oracle_subgroup(5, 2)
         assert {(a + b) % 5 for a in G for b in G} == {0, 2, 3}
+
+
+class TestParityLemma:
+    @pytest.mark.parametrize("p", [p for p in range(3, 500) if oracle_is_prime(p)])
+    def test_zero_is_an_s_fold_sum_iff_s_is_even_or_at_least_p(self, p):
+        # G = {1, -1}: an s-fold sum is an integer of the parity of s in [-s, s]
+        reach = {0}
+        for s in range(1, 2 * p + 1):
+            reach = {(r + g) % p for r in reach for g in (1, p - 1)}
+            assert (0 in reach) == (s % 2 == 0 or s >= p), (p, s)
+
+    def test_formula_mask_matches_the_walk_below_2000(self):
+        for p in filter(oracle_is_prime, range(3, 2000)):
+            S = characteristic_bitset(Prime(p), 2)
+            mask = 1
+            steps = oracle_residue_steps(p, oracle_subgroup(p, 2))
+            for s, reach in enumerate(islice(steps, S.bound), 1):
+                mask |= (reach & 1) << s
+            assert S.mask == mask, p
+            assert minimal_generating_set(S).generators == (2, p), p
 
 
 class TestSaturationBound:

@@ -37,9 +37,9 @@ def shipped_rows_verify() -> bool:
 
 
 def dp_masks_match_oracle() -> bool:
-    """The dp mask equals the set-walk oracle's on every (p, n) with p <= 13."""
+    """The dp mask equals the set-walk oracle's on every (p, n) with p <= 31."""
     return all(characteristic.characteristic_bitset(Prime(p), n).mask
-               == as_mask(oracle_members_setwalk(p, n, 2 * p)) for p, n in subgroup_pairs(13))
+               == as_mask(oracle_members_setwalk(p, n, 2 * p)) for p, n in subgroup_pairs(31))
 
 
 def levels_match_oracle() -> bool:
@@ -104,16 +104,18 @@ CHECKS = {"verify": shipped_rows_verify, "oracle-masks": dp_masks_match_oracle,
 
 # name: (function, [(old, new) source edits], the check that kills it)
 MUTANTS = {
-    "dp-walk-one-step-short": (characteristic.characteristic_bitset, [
-        ("range(p - 2)", "range(p - 3)"), ('"1" * (p + 2)', '"1" * (p + 3)')], "oracle-masks"),
+    "dp-walk-skips-an-element": (characteristic.characteristic_bitset, [
+        ("for g in elements:", "for g in elements[1:]:")], "oracle-masks"),
     "dp-fold-dropped": (characteristic.characteristic_bitset, [
         ("(wide | wide >> p) & residues", "wide & residues")], "verify"),
     "trivial-group-without-bit-2p": (characteristic.characteristic_bitset, [
         ("1 | 1 << p | 1 << 2 * p", "1 | 1 << p")], "oracle-masks"),
     "index-2-odd-order-with-bit-2": (characteristic.characteristic_bitset, [
         ("(4 if n % 2 == 0 else 8)", "4")], "oracle-masks"),
-    "index-2-formula-at-order-2": (characteristic.characteristic_bitset, [
-        ("if n >= 3 and", "if n >= 2 and")], "oracle-masks"),
+    "order-2-odd-tail-two-bits-low": (characteristic.characteristic_bitset, [
+        ("// 3 << p", "// 3 << p - 2")], "oracle-masks"),
+    "order-2-formula-at-order-4": (characteristic.characteristic_bitset, [
+        ("if n == 2:", "if n in (2, 4):")], "oracle-masks"),
     "index-2-formula-at-index-3": (characteristic.characteristic_bitset, [
         ("2 * n >= p - 1", "3 * n >= p - 1")], "oracle-masks"),
     "whole-group-formula-at-p-2": (characteristic.characteristic_bitset, [
