@@ -88,8 +88,7 @@ class FixtureRow:
     generators: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        check_order(self.p, self.order)
-        Prime(self.p)
+        object.__setattr__(self, "p", check_order(self.p, self.order))  # frozen, so set directly
         if list(self.generators) != sorted(set(self.generators)):
             raise ValueError("generators must be strictly increasing")
         if any(g < 1 for g in self.generators):
@@ -167,8 +166,7 @@ def characteristic_bitset(p: Prime, n: int) -> CharacteristicSet:
     lives at 2(p-1) or beyond, and the extraction in minimal_generating_set is
     sound. Only this walk builds the subgroup.
     """
-    check_order(p, n)
-    p = Prime(p)
+    p = check_order(p, n)
     if n == 1:
         return CharacteristicSet(p=p, order=n, mask=1 | 1 << p | 1 << 2 * p)
     if n == 2:  # the even bits of [0, 2p] and the odd bits of [p, 2p]
@@ -244,8 +242,7 @@ def kp_representation_check(p: Prime, n: int, s: int) -> bool:
     subgroup; below it s < p for nontrivial G, and the BFS stops once its
     level passes s, each level a mask of p bits.
     """
-    check_order(p, n)
-    p = Prime(p)
+    p = check_order(p, n)
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
     if s % p == 0 or s * (n - 1) >= p - 1:

@@ -95,7 +95,7 @@ def cmd_genset(args: argparse.Namespace) -> int:
         if args.timing:
             print(f"# {name}: {comparison.timings_ms[name]:.3f} ms", file=sys.stderr)
     if not comparison.agree:
-        distinct = sorted(set(comparison.results.values()))
+        distinct = sorted({row.generators for row in comparison.rows.values()})
         return _fail(EXIT_MISMATCH, f"routes disagree for p={int(p)}, n={n}: {distinct}")
     return EXIT_OK
 

@@ -23,21 +23,21 @@ def gen_set_closed_form(p: Prime, n: int) -> FixtureRow:
     a^2 + b^2 = p with a > b > 0. Requiring n | p-1 already forces p into
     the range where each formula applies (p >= 3 for order 2, p >= 7 for
     order 3, p >= 5 for order 4), so no separate size check is needed. The
-    output is sorted and deduplicated; minimality is re-verified against the
-    table route in the test suite rather than trusted blindly. Raises
-    ValueError for a p that is not prime.
+    generators are distinct with no dedupe: a + b is odd (p = a^2 + b^2 is odd)
+    and at least 3 for order 4; for order 3, a + b and 2a - b both exceed 3
+    (a >= 3) and differ, as a = 2b would give p = 3b^2. Minimality is
+    re-verified against the table route in the test suite rather than trusted
+    blindly. Raises ValueError for a p that is not prime.
     """
-    check_order(p, n)
-    p = Prime(p)
+    p = check_order(p, n)
     if n == 1:
         return FixtureRow(p, n, (int(p),))
     if n == 2:
         return FixtureRow(p, n, (2, int(p)))
     if n == 3:
         sol, _ = eisenstein_solutions(p)
-        a, b = sol.a, sol.b
-        return FixtureRow(p, n, tuple(sorted({3, a + b, 2 * a - b})))
+        return FixtureRow(p, n, (3, *sorted((sol.a + sol.b, 2 * sol.a - sol.b))))
     if n == 4:
         sq = cornacchia_two_squares(p)
-        return FixtureRow(p, n, tuple(sorted({2, sq.a + sq.b})))
+        return FixtureRow(p, n, (2, sq.a + sq.b))
     raise ClosedFormUnavailable(f"no closed form for subgroup order {n}")

@@ -32,25 +32,24 @@ class Route(NamedTuple):
     audit witnesses, and the largest p it takes (by default every p < 2^63)."""
 
     applies: Callable[[int], bool]
-    run: Callable[[Prime, int], FixtureRow]
+    run: Callable[[int, int], FixtureRow]
     inapplicable: str = ""
-    witnesses: Optional[Callable[[Prime, int], dict]] = None
+    witnesses: Optional[Callable[[int, int], dict]] = None
     max_p: int = MAX_INPUT
 
 
 # Each walking route takes p up to where its small orders finish `genset` in
 # about 10 s (Python 3.11.7, 2 cores). dp: orders 1 and 2 and index 1 and 2
 # are formulas, and the smallest walked order, n = 3, took 10.7-12.2 s at
-# p = 239977, about what n = 2 took when it walked (9.0-11.4 s at 239999).
-# norm: JSON output, which builds a witness per residue, took 8.1-9.0 s at
-# q = 5, 7, 11, 13 near p = 1.5e6 and 11-14 s near 2e6; plain output at
-# q = 2, 3, 5, 7 took under 0.5 s near 1.5e6. Both limits bound p alone: a dp
-# step shifts once per subgroup element and a norm BFS level once per step
-# 1 - g^j, so large orders cost more. The dp limit does not bound an order of
-# index 3 or more near it: (239977, 79992) would walk about 1.9e10 shifts.
-# norm at q = (p-1)/2 took 4.1 s at p = 240587 and 135 s at 1000667. A cost
-# limit per (p, n) waits for the dp's level mask, fewer than 2p shifts for any
-# n (ROADMAP item 2, after 1a).
+# p = 239977. norm: JSON output, which builds a witness per residue, took
+# 8.1-9.0 s at q = 5, 7, 11, 13 near p = 1.5e6 and 11-14 s near 2e6; plain
+# output at q = 2, 3, 5, 7 took under 0.5 s near 1.5e6. Both limits bound p
+# alone: a dp step shifts once per subgroup element and a norm BFS level once
+# per step 1 - g^j, so large orders cost more. The dp limit does not bound an
+# order of index 3 or more near it: (239977, 79992) would walk about 1.9e10
+# shifts. norm at q = (p-1)/2 took 4.1 s at p = 240587 and 135 s at 1000667.
+# A cost limit per (p, n) waits for the dp's level mask, fewer than 2p shifts
+# for any n (ROADMAP item 2, after 1a).
 DP_MAX_P = 240_000
 NORM_MAX_P = 1_500_000
 
@@ -61,9 +60,9 @@ ROUTES = {
                 max_p=DP_MAX_P),
     "closed": Route(lambda n: n in (1, 2, 3, 4), lambda p, n: gen_set_closed_form(p, n),
                     "closed-form route covers orders 1..4 only, got n={n}"),
-    "norm": Route(is_prime, lambda p, n: generating_set_via_norm(p, Prime(n)),
+    "norm": Route(is_prime, lambda p, n: generating_set_via_norm(p, n),
                   "norm route covers prime orders only, got n={n}",
-                  lambda p, n: candidate_sums(p, Prime(n)).witnesses, NORM_MAX_P),
+                  lambda p, n: candidate_sums(p, n).witnesses, NORM_MAX_P),
 }
 
 
@@ -125,10 +124,8 @@ def parse_fixture_line(line: str, lineno: int = 0) -> Optional[FixtureRow]:
     if not (set_text.startswith("{") and set_text.endswith("}")):
         raise FixtureParseError(f"{where}: generator set must be brace-delimited, got {set_text!r}")
     try:
-        p = Prime(int(p_text))
-        n = int(n_text)
         gens = tuple(int(tok) for tok in set_text[1:-1].split())
-        return FixtureRow(p=p, order=n, generators=gens)
+        return FixtureRow(p=int(p_text), order=int(n_text), generators=gens)
     except ValueError as exc:
         raise FixtureParseError(f"{where}: {exc}") from exc
 
@@ -195,8 +192,7 @@ def _validate_row(row: FixtureRow) -> RouteComparison:
 
 
 def _table_row(item: tuple[int, int]) -> FixtureRow:
-    p, n = item
-    return ROUTES["dp"].run(Prime(p), n)
+    return ROUTES["dp"].run(*item)
 
 
 def _map_items(fn, items, workers: int):

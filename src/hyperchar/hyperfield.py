@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Callable, Iterable
 
-from .modular import Prime, check_order, subgroup_of_order
+from .modular import check_order, subgroup_of_order
 
 
 class QuotientHyperfield:
@@ -24,8 +24,7 @@ class QuotientHyperfield:
     """
 
     def __init__(self, p: int, n: int):
-        check_order(p, n)
-        self.p = p = Prime(p)
+        self.p = p = check_order(p, n)
         self.order = n
         elements = subgroup_of_order(p, n)
         rep = [0] * p

@@ -118,16 +118,18 @@ def find_primitive_root(p: Prime) -> int:
     raise AssertionError(f"no primitive root found for prime {p}")
 
 
-def check_order(p: int, n: int) -> None:
-    """Raise ValueError unless n >= 1 divides p - 1, as F_p/G needs."""
+def check_order(p: int, n: int) -> Prime:
+    """p as a Prime once n >= 1 divides p - 1, as F_p/G needs: ValueError for
+    any other n first, then for a p that is not prime."""
     if n < 1 or (p - 1) % n != 0:
         raise ValueError(f"no subgroup of order {n} in (Z/{p}Z)^x: {n} does not divide {p - 1}")
+    return Prime(p)
 
 
 def subgroup_generator(p: Prime, n: int) -> int:
     """g^((p-1)/n) for g = find_primitive_root(p): the canonical generator of
     the order-n subgroup, without building its elements."""
-    check_order(p, n)
+    p = check_order(p, n)
     return pow(find_primitive_root(p), (p - 1) // n, p)
 
 
@@ -171,26 +173,28 @@ def cornacchia_two_squares(p: Prime) -> TwoSquares:
     """The unique (a, b) with a >= b > 0 and a^2 + b^2 = p.
 
     Requires p = 2 or p = 1 (mod 4); no representation exists otherwise.
+    Raises ValueError for a p that is not prime.
     """
     if p == 2:
         return TwoSquares(1, 1)
     if p % 4 != 1:
         raise ValueError(f"{p} = 3 (mod 4) has no two-square representation")
-    a, b = _cornacchia(int(p), 1)
+    a, b = _cornacchia(Prime(p), 1)
     return TwoSquares(max(a, b), min(a, b))
 
 
 def eisenstein_solutions(p: Prime) -> tuple[EisensteinPair, EisensteinPair]:
     """Both solutions (a, b), (a, a-b) of a^2 - ab + b^2 = p with a > b > 0.
 
-    Ordered by ascending second coordinate. Requires p = 1 (mod 3) and p >= 7.
-    From x^2 + 3y^2 = p, the pair (x + y, 2y) solves the form in some order.
+    Ordered by ascending second coordinate. Requires p = 1 (mod 3) and p >= 7,
+    and raises ValueError for a p that is not prime. From x^2 + 3y^2 = p, the
+    pair (x + y, 2y) solves the form in some order.
     """
     if p % 3 != 1:
         raise ValueError(f"{p} != 1 (mod 3): x^2 - xy + y^2 = p has no positive solution pair")
     if p < 7:
         raise ValueError(f"p must be at least 7, got {p}")
-    x, y = _cornacchia(int(p), 3)
+    x, y = _cornacchia(Prime(p), 3)
     a, b = max(x + y, 2 * y), min(x + y, 2 * y)
     first = EisensteinPair(a, min(b, a - b))
     return first, first.companion

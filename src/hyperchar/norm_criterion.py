@@ -49,8 +49,7 @@ def _norm_steps(p: int, q: int) -> tuple[Prime, Prime, list[int]]:
 
     Raises ValueError unless p is prime and q is a prime divisor of p - 1.
     """
-    check_order(p, q)  # the order rule, checked before primality
-    p, q = Prime(p), Prime(q)
+    p, q = check_order(p, q), Prime(q)
     g = subgroup_generator(p, q)
     return p, q, [(1 - pow(g, j, p)) % p for j in range(1, q - 1)]
 
@@ -145,9 +144,10 @@ def tuple_bound(p: Prime, q: Prime) -> int:
 
     C(p+q-2, q-1) minus the count of tuples whose total is a positive
     multiple of p too small to reach, summed in closed form. Exact integer
-    arithmetic throughout.
+    arithmetic throughout. Raises ValueError unless p is prime and q is a
+    prime divisor of p - 1.
     """
-    check_order(p, q)
+    p, q = check_order(p, q), Prime(q)
     total = math.comb(p + q - 2, q - 1)
     removed = sum(math.comb(q - 2 + k * q, q - 2) for k in range(0, (p - q - 1) // q + 1))
     return total - removed

@@ -39,6 +39,7 @@ MALFORMED_ROWS = [
     ("7,3,[3 4 5]", "brace-delimited"),  # wrong delimiters
     ("8,1,{8}", "8 is not prime"),
     ("7,4,{2}", "does not divide"),
+    ("15,4,{2}", "does not divide"),  # the order rule before primality
     ("7,3,{5 4 3}", "strictly increasing"),  # not sorted
     ("7,3,{3 3 4}", "strictly increasing"),  # duplicate generator
     ("x,3,{3}", "invalid literal"),  # not an integer

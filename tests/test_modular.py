@@ -22,6 +22,7 @@ from hyperchar.modular import (
     Prime,
     TwoSquares,
     _cornacchia,
+    check_order,
     cornacchia_two_squares,
     eisenstein_solutions,
     find_primitive_root,
@@ -75,6 +76,10 @@ class TestPrime:
     def test_rejects_composites(self, bad):
         with pytest.raises(ValueError):
             Prime(bad)
+
+    def test_the_order_rule_hands_on_a_prime(self):
+        assert type(check_order(7, 3)) is Prime
+        assert type(FixtureRow(7, 3, (3, 4, 5)).p) is Prime
 
     def test_a_prime_is_tested_once(self, monkeypatch):
         # building a Prime tests it; a Prime passed on is not tested again
@@ -139,6 +144,7 @@ ORDER_RULE_CALLS = {
     "QuotientHyperfield": QuotientHyperfield,
     "kp_representation_check": lambda p, n: kp_representation_check(p, n, 0),
     "subgroup_of_order": subgroup_of_order,
+    "subgroup_generator": subgroup_generator,
     "characteristic_bitset": characteristic_bitset,
     "gen_set_closed_form": gen_set_closed_form,
     "candidate_sums": candidate_sums,
@@ -156,6 +162,20 @@ def test_order_rule_has_one_message(p, n):
         messages[name] = str(raised.value)
     expected = f"no subgroup of order {n} in (Z/{p}Z)^x: {n} does not divide {p - 1}"
     assert messages == dict.fromkeys(ORDER_RULE_CALLS, expected)
+
+
+# past the order rule, each entry point tests p, and the norm functions q too
+@pytest.mark.parametrize("p,n,names,composite", [
+    (15, 7, tuple(ORDER_RULE_CALLS), 15),  # 7 divides 14
+    (13, 4, ("tuple_bound", "candidate_sums", "generating_set_via_norm"), 4),  # q = 4
+], ids=["15-7", "13-4"])
+def test_a_composite_past_the_order_rule_is_refused(p, n, names, composite):
+    messages = {}
+    for name in names:
+        with pytest.raises(ValueError) as raised:
+            ORDER_RULE_CALLS[name](p, n)
+        messages[name] = str(raised.value)
+    assert messages == dict.fromkeys(names, f"{composite} is not prime")
 
 
 class TestSubgroup:
@@ -237,6 +257,11 @@ class TestCornacchia:
         with pytest.raises(ValueError):
             cornacchia_two_squares(Prime(7))
 
+    @pytest.mark.parametrize("p", [21, 25])  # 21 is no sum of two squares; 25 = 4^2 + 3^2
+    def test_rejects_a_composite(self, p):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            cornacchia_two_squares(p)
+
     @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (2, 3), (3, 3)])
     def test_root_search_ends_where_no_root_of_minus_d_has_order_k(self, p, d):
         # no unit mod 2 or 3 has order 3 or 4, so the search over c in [2, p) ends empty
@@ -272,6 +297,11 @@ class TestEisenstein:
     def test_rejects_wrong_congruence(self):
         with pytest.raises(ValueError):
             eisenstein_solutions(Prime(11))
+
+    @pytest.mark.parametrize("p", [25, 91])
+    def test_rejects_a_composite(self, p):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            eisenstein_solutions(p)
 
     @given(st.sampled_from([p for p in range(7, 2000) if oracle_is_prime(p) and p % 3 == 1]))
     @settings(max_examples=40)

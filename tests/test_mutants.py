@@ -64,15 +64,18 @@ def hyperfield_folds_match_dp() -> bool:
 
 def order_rule_refuses() -> bool:
     """characteristic_bitset, gen_set_closed_form and FixtureRow each refuse
-    (7, 4) with the order rule's ValueError: 4 does not divide 6."""
-    def refuses(call):
+    (7, 4) with the order rule's ValueError (4 does not divide 6), and (15, 7),
+    which passes it, with check_order's primality test."""
+    def refuses(call, p, n, message):
         try:
-            call(Prime(7), 4)
+            call(p, n)
         except ValueError as exc:
-            return "does not divide" in str(exc)
+            return message in str(exc)
         return False
-    return all(map(refuses, (characteristic.characteristic_bitset, closed_form.gen_set_closed_form,
-                             lambda p, n: characteristic.FixtureRow(p, n, (2,)))))
+    calls = (characteristic.characteristic_bitset, closed_form.gen_set_closed_form,
+             lambda p, n: characteristic.FixtureRow(p, n, (2,)))
+    return all(refuses(call, p, n, message) for call in calls
+               for p, n, message in ((Prime(7), 4, "does not divide"), (15, 7, "15 is not prime")))
 
 
 def routes_take_their_max_p() -> bool:
@@ -135,6 +138,8 @@ MUTANTS = {
         ("2 * z + 1", "2 * z - 1")], "verify"),
     "check_order-without-divisibility": (modular.check_order, [
         ("n < 1 or (p - 1) % n != 0", "n < 1")], "order-rule"),
+    "check_order-skips-primality": (modular.check_order, [
+        ("return Prime(p)", "return p")], "order-rule"),
     "_select_routes-excludes-max_p": (harness._select_routes, [
         ("if p <= ROUTES[name].max_p", "if p < ROUTES[name].max_p")], "route-limits"),
     "_offset_descent-counts-a-step-twice": (norm_criterion._offset_descent, [
