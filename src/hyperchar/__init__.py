@@ -13,7 +13,7 @@ from .characteristic import (
     kp_representation_check,
     minimal_generating_set,
 )
-from .closed_form import ClosedFormUnavailable, gen_set_closed_form
+from .closed_form import gen_set_closed_form
 from .harness import (
     ConjectureReport,
     ConjectureWitness,
@@ -51,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AxiomReport",
     "CharacteristicSet",
-    "ClosedFormUnavailable",
     "ConjectureReport",
     "ConjectureWitness",
     "EisensteinPair",

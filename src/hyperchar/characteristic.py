@@ -33,13 +33,15 @@ class CharacteristicSet:
     """Characteristic submonoid: bit s of `mask` says s is a member, for s in
     the window [0, bound], bound = 2p. Past 2(p-1) membership is p-periodic
     (all s >= p-1 for nontrivial G, the multiples of p for trivial G), so the
-    window holds every answer and `s in S` is exact for every s >= 0."""
+    window holds every answer and `s in S` is exact for every s >= 0. p and
+    the order pass check_order, as in FixtureRow."""
 
     p: Prime
     order: int
     mask: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", check_order(self.p, self.order))  # frozen, so set directly
         if self.mask >> (self.bound + 1) or not self.mask & 1:
             raise ValueError("mask needs bit 0 (0 is in every submonoid) and no bits past bound")
 

@@ -44,6 +44,12 @@ EXIT_IO = 4
 # (Python 3.11.7, 2 cores): --p-max 61 took 4.7 s, 79 took 9.9 s, 83 took 11.5 s.
 AUDIT_MAX_P = 80
 
+# conjecture searches a witness for every odd n up to the bound, and its cost
+# grows faster than the bound. The limit is where a whole run takes about 10 s
+# (Python 3.11.7, 2 cores): --n-max 200001 took 5.9-6.1 s, 300001 took
+# 9.0-10.3 s, 350001 took 13.9 s.
+CONJECTURE_MAX_N = 300001
+
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -150,6 +156,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_conjecture(args: argparse.Namespace) -> int:
     if args.n_max % 2 == 0 or args.n_max < 3:
         return _fail(EXIT_BAD_ARGS, f"--n-max must be odd and at least 3, got {args.n_max}")
+    if args.n_max > CONJECTURE_MAX_N:
+        return _fail(EXIT_BAD_ARGS, f"conjecture takes --n-max <= {CONJECTURE_MAX_N}, got {args.n_max}")
     report = conjecture_scan(args.n_max)
     print("n,a,b,prime")
     for w in report.verified:

@@ -1,18 +1,14 @@
 """Closed-form minimal generating sets for subgroup orders 1 through 4.
 
 Each branch is a direct formula in p (via a quadratic-form representation for
-orders 3 and 4), needing no membership table. Orders outside 1..4 have no
-closed form here and are rejected so callers can fall back to another route.
+orders 3 and 4), needing no membership table. harness.ROUTES["closed"].applies
+states the orders covered, once; any other order raises ValueError.
 """
 
 from __future__ import annotations
 
 from .characteristic import FixtureRow
 from .modular import Prime, check_order, cornacchia_two_squares, eisenstein_solutions
-
-
-class ClosedFormUnavailable(ValueError):
-    """Raised when no closed-form branch exists for the requested order."""
 
 
 def gen_set_closed_form(p: Prime, n: int) -> FixtureRow:
@@ -40,4 +36,4 @@ def gen_set_closed_form(p: Prime, n: int) -> FixtureRow:
     if n == 4:
         sq = cornacchia_two_squares(p)
         return FixtureRow(p, n, (2, sq.a + sq.b))
-    raise ClosedFormUnavailable(f"no closed form for subgroup order {n}")
+    raise ValueError(f"no closed form for subgroup order {n}")

@@ -160,6 +160,8 @@ def shipped_fixture_path(name: str = "reference_sets.txt") -> Path:
 def _select_routes(p: int, n: int, names=()) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """names (default: the routes that apply to n) that take p, and a note per route skipped."""
     names = tuple(names) or tuple(name for name, route in ROUTES.items() if route.applies(n))
+    if unknown := [name for name in names if name not in ROUTES]:
+        raise ValueError(f"unknown route {unknown[0]!r}: the routes are {', '.join(ROUTES)}")
     limits = {r: f"the {r} route takes p <= {ROUTES[r].max_p}, got p={p}" for r in names}
     chosen = tuple(name for name in names if p <= ROUTES[name].max_p)
     if not chosen:

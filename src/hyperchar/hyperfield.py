@@ -91,9 +91,6 @@ class QuotientHyperfield:
                 raise AssertionError(f"{self!r}: no fixed point or return to 0 within {int(self.p)} folds")
         return fold
 
-    def n_fold_sum_contains_zero(self, n: int) -> bool:
-        return self.zero in self.n_fold_sums(n)
-
 
 @dataclass
 class AxiomReport:

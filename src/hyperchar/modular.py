@@ -82,11 +82,6 @@ class EisensteinPair:
         if not self.a > self.b >= 1:
             raise ValueError(f"need a > b >= 1, got ({self.a}, {self.b})")
 
-    @property
-    def companion(self) -> "EisensteinPair":
-        """The second solution sharing the same larger coordinate."""
-        return EisensteinPair(self.a, self.a - self.b)
-
 
 def _prime_factors(m: int) -> tuple[int, ...]:
     """Distinct prime factors by trial division; fine for the desk-scale moduli used here."""
@@ -186,15 +181,13 @@ def cornacchia_two_squares(p: Prime) -> TwoSquares:
 def eisenstein_solutions(p: Prime) -> tuple[EisensteinPair, EisensteinPair]:
     """Both solutions (a, b), (a, a-b) of a^2 - ab + b^2 = p with a > b > 0.
 
-    Ordered by ascending second coordinate. Requires p = 1 (mod 3) and p >= 7,
-    and raises ValueError for a p that is not prime. From x^2 + 3y^2 = p, the
+    Ordered by ascending second coordinate. Requires p = 1 (mod 3), and raises
+    ValueError for a p that is not prime, so p >= 7. From x^2 + 3y^2 = p, the
     pair (x + y, 2y) solves the form in some order.
     """
     if p % 3 != 1:
         raise ValueError(f"{p} != 1 (mod 3): x^2 - xy + y^2 = p has no positive solution pair")
-    if p < 7:
-        raise ValueError(f"p must be at least 7, got {p}")
     x, y = _cornacchia(Prime(p), 3)
     a, b = max(x + y, 2 * y), min(x + y, 2 * y)
     first = EisensteinPair(a, min(b, a - b))
-    return first, first.companion
+    return first, EisensteinPair(a, a - first.b)

@@ -278,8 +278,8 @@ def oracle_eisenstein_search(p: int):
     if len(found) != 2:
         raise AssertionError(f"expected exactly two solutions for p={p}, found {found}")
     first, second = sorted(found, key=lambda s: s.b)
-    if first.companion != second:
-        raise AssertionError(f"solutions for p={p} are not companions: {first}, {second}")
+    if second != EisensteinPair(first.a, first.a - first.b):
+        raise AssertionError(f"solutions for p={p} are not (a, b) and (a, a - b): {first}, {second}")
     return first, second
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from hyperchar import cli, harness
 from hyperchar.cli import build_parser, main
-from hyperchar.harness import ROUTES, load_fixtures, parse_fixture_line, shipped_fixture_path
+from hyperchar.harness import ROUTES, ConjectureReport, load_fixtures, parse_fixture_line, shipped_fixture_path
 from hyperchar.hyperfield import QuotientHyperfield, check_axioms
 
 from conftest import oracle_prime_orders
@@ -420,6 +420,30 @@ class TestConjectureCmd:
     def test_even_n_max_rejected(self, capsys):
         code, _, err = run_cli(capsys, "conjecture", "--n-max", "4")
         assert code == 2 and "odd" in err
+
+    @pytest.mark.parametrize("n_max", [cli.CONJECTURE_MAX_N + 2, 10**18 + 1])
+    def test_n_max_past_the_limit_is_bad_args_before_any_work(self, capsys, monkeypatch, n_max):
+        def refuse(n_max):
+            raise AssertionError(f"the scan ran to {n_max}")
+
+        monkeypatch.setattr(cli, "conjecture_scan", refuse)
+        code, out, err = run_cli(capsys, "conjecture", "--n-max", str(n_max))
+        assert code == 2 and out == ""
+        assert err == f"error: conjecture takes --n-max <= {cli.CONJECTURE_MAX_N}, got {n_max}\n"
+
+    def test_n_max_at_the_limit_runs_the_scan(self, capsys, monkeypatch):
+        # the README and acceptance scan to 10001 lies inside the limit
+        assert 10001 <= cli.CONJECTURE_MAX_N and cli.CONJECTURE_MAX_N % 2 == 1
+        scanned = []
+
+        def empty_scan(n_max):
+            scanned.append(n_max)
+            return ConjectureReport(n_max=n_max, verified=(), failures=())
+
+        monkeypatch.setattr(cli, "conjecture_scan", empty_scan)
+        code, out, _ = run_cli(capsys, "conjecture", "--n-max", str(cli.CONJECTURE_MAX_N))
+        assert code == 0 and out == "n,a,b,prime\n"
+        assert scanned == [cli.CONJECTURE_MAX_N]
 
 
 class TestAudit:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperchar.characteristic import characteristic_bitset, minimal_generating_set
-from hyperchar.closed_form import ClosedFormUnavailable, gen_set_closed_form
-from hyperchar.modular import Prime, cornacchia_two_squares, eisenstein_solutions, is_prime
+from hyperchar.closed_form import gen_set_closed_form
+from hyperchar.modular import EisensteinPair, Prime, cornacchia_two_squares, eisenstein_solutions, is_prime
 
 from conftest import oracle_is_prime
 
@@ -78,14 +78,10 @@ class TestErrors:
             gen_set_closed_form(Prime(7), 4)
 
     def test_rejects_unsupported_order(self):
-        with pytest.raises(ClosedFormUnavailable):
+        with pytest.raises(ValueError, match="^no closed form for subgroup order 5$"):
             gen_set_closed_form(Prime(11), 5)
-        with pytest.raises(ClosedFormUnavailable):
+        with pytest.raises(ValueError, match="^no closed form for subgroup order 6$"):
             gen_set_closed_form(Prime(31), 6)
-
-    def test_unsupported_order_is_still_a_value_error(self):
-        with pytest.raises(ValueError):
-            gen_set_closed_form(Prime(11), 5)
 
 
 def check_closed_route(p):
@@ -94,7 +90,7 @@ def check_closed_route(p):
     first, second = eisenstein_solutions(Prime(p))
     for sol in (first, second):
         assert sol.a * sol.a - sol.a * sol.b + sol.b * sol.b == p and sol.a > sol.b > 0
-    assert first.companion == second and first.b < second.b
+    assert second == EisensteinPair(first.a, first.a - first.b) and first.b < second.b
     three = gen_set_closed_form(Prime(p), 3).generators
     four = gen_set_closed_form(Prime(p), 4).generators
     assert three[0] == 3 and four[0] == 2 and len(four) == 2 and four[1] % 2 == 1

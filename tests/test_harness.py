@@ -214,6 +214,14 @@ class TestCrossValidate:
             f"skipped {name}: the {name} route takes p <= {ROUTES[name].max_p}, got p=1000000000039"
             for name in ("dp", "norm"))
 
+    def test_an_unknown_route_is_refused_before_any_route_runs(self, monkeypatch):
+        def refuse(p, n):
+            raise AssertionError(f"a route ran at p={p}, n={n}")
+
+        monkeypatch.setitem(harness.ROUTES, "dp", harness.ROUTES["dp"]._replace(run=refuse))
+        with pytest.raises(ValueError, match="^unknown route 'bogus': the routes are dp, closed, norm$"):
+            cross_validate(Prime(7), 3, ("dp", "bogus"))
+
     def test_notes_mark_p_as_generator(self):
         # p is a generator for n in {1, 2} as expected, so no note
         assert cross_validate(Prime(7), 2).notes == ()

@@ -16,7 +16,7 @@ from hyperchar import (
     kp_representation_check,
     minimal_generating_set,
 )
-from hyperchar.characteristic import FixtureRow
+from hyperchar.characteristic import CharacteristicSet, FixtureRow
 from hyperchar.modular import (
     EisensteinPair,
     Prime,
@@ -141,6 +141,7 @@ def test_composite_p_is_rejected(route, p, n):
 # one message for any other n; for a composite p too, as each checks n first
 ORDER_RULE_CALLS = {
     "FixtureRow": lambda p, n: FixtureRow(p, n, (2,)),
+    "CharacteristicSet": lambda p, n: CharacteristicSet(p, n, 1),
     "QuotientHyperfield": QuotientHyperfield,
     "kp_representation_check": lambda p, n: kp_representation_check(p, n, 0),
     "subgroup_of_order": subgroup_of_order,
@@ -298,7 +299,8 @@ class TestEisenstein:
         with pytest.raises(ValueError):
             eisenstein_solutions(Prime(11))
 
-    @pytest.mark.parametrize("p", [25, 91])
+    # 1 and 4, the only p = 1 (mod 3) below 7, are refused as not prime too
+    @pytest.mark.parametrize("p", [1, 4, 25, 91])
     def test_rejects_a_composite(self, p):
         with pytest.raises(ValueError, match=f"^{p} is not prime$"):
             eisenstein_solutions(p)

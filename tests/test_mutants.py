@@ -56,10 +56,20 @@ def hyperfield_folds_match_dp() -> bool:
     """0 lies in the s-fold sum of one in F_p/G iff s is a dp member, for every
     (p, n) with p <= 13 and s <= 2p, and once at s = 10^18, past any walk."""
     def agree(p, n, s):
-        return (hyperfield.QuotientHyperfield(p, n).n_fold_sum_contains_zero(s)
+        return ((0 in hyperfield.QuotientHyperfield(p, n).n_fold_sums(s))
                 == (s in characteristic.characteristic_bitset(Prime(p), n)))
     return agree(13, 3, 10**18) and all(
         agree(p, n, s) for p, n in subgroup_pairs(13) for s in range(2 * p + 1))
+
+
+def kp_matches_dp() -> bool:
+    """kp_representation_check(p, n, s) is s in characteristic_bitset(p, n)
+    for every (p, n) with p <= 31 and every s <= 2p."""
+    def agree(p, n):
+        S = characteristic.characteristic_bitset(Prime(p), n)
+        return all(characteristic.kp_representation_check(Prime(p), n, s) == (s in S)
+                   for s in range(2 * p + 1))
+    return all(agree(p, n) for p, n in subgroup_pairs(31))
 
 
 def order_rule_refuses() -> bool:
@@ -103,7 +113,7 @@ def norm_witnesses_hold() -> bool:
 CHECKS = {"verify": shipped_rows_verify, "oracle-masks": dp_masks_match_oracle,
           "oracle-levels": levels_match_oracle, "hyperfield-folds": hyperfield_folds_match_dp,
           "order-rule": order_rule_refuses, "route-limits": routes_take_their_max_p,
-          "norm-witnesses": norm_witnesses_hold}
+          "norm-witnesses": norm_witnesses_hold, "kp-matches-dp": kp_matches_dp}
 
 # name: (function, [(old, new) source edits], the check that kills it)
 MUTANTS = {
@@ -134,6 +144,10 @@ MUTANTS = {
     "_close-tripling": (characteristic._close, [("c *= 2", "c *= 3")], "verify"),
     "_generate-closes-only-the-generator": (characteristic._generate, [
         ("closure = _close(closure, g, bound)", "closure |= 1 << g")], "verify"),
+    "kp-claims-s-at-its-own-level": (characteristic.kp_representation_check, [
+        ("or level > s", "or level >= s")], "kp-matches-dp"),
+    "kp-misses-s-equal-to-p": (characteristic.kp_representation_check, [
+        ("s % p == 0", "s == 0")], "kp-matches-dp"),
     "_cornacchia-wrong-root-of-minus-3": (modular._cornacchia, [
         ("2 * z + 1", "2 * z - 1")], "verify"),
     "check_order-without-divisibility": (modular.check_order, [
